@@ -18,12 +18,11 @@ use netsim::ip::Ipv4Packet;
 use netsim::node::{Context, Node};
 use netsim::stack::IpStack;
 use netsim::udp::UdpDatagram;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::net::Ipv4Addr;
 
 /// Configuration of a [`BgpHijackAttacker`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BgpHijackConfig {
     /// The name whose queries get poisoned answers.
     pub qname: Name,
@@ -41,7 +40,7 @@ pub struct BgpHijackConfig {
 }
 
 /// Counters describing attacker activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BgpHijackStats {
     /// Hijacked packets received.
     pub packets_seen: u64,

@@ -34,7 +34,6 @@ use netsim::stack::{IpStack, StackEvent};
 use netsim::time::SimDuration;
 use netsim::udp::{fold_checksum, ones_complement_sum, UDP_HEADER_LEN};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::error::Error;
 use std::net::Ipv4Addr;
@@ -46,7 +45,7 @@ const TAG_REPLANT: u64 = 1;
 pub const BEGIN_TAG: u64 = 2;
 
 /// Configuration of a [`FragPoisoner`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FragPoisonConfig {
     /// The victim resolver whose reassembly cache is poisoned.
     pub resolver: Ipv4Addr,
@@ -98,7 +97,7 @@ impl FragPoisonConfig {
 }
 
 /// Counters describing attacker activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FragPoisonStats {
     /// Probe queries sent to the nameserver.
     pub probes: u64,

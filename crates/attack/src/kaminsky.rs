@@ -18,14 +18,13 @@ use netsim::node::{Context, Node};
 use netsim::stack::IpStack;
 use netsim::time::SimDuration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::net::Ipv4Addr;
 
 const TAG_ATTEMPT: u64 = 1;
 
 /// How the attacker guesses the resolver's query source port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortGuess {
     /// The resolver is known to use one fixed port.
     Known(u16),
@@ -39,7 +38,7 @@ pub enum PortGuess {
 }
 
 /// Configuration of a [`BlindSpoofAttacker`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlindSpoofConfig {
     /// The victim resolver (must be open for direct triggering).
     pub resolver: Ipv4Addr,
@@ -63,7 +62,7 @@ pub struct BlindSpoofConfig {
 }
 
 /// Counters describing attacker activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlindSpoofStats {
     /// Attempts (trigger + burst) launched.
     pub attempts: u64,

@@ -25,7 +25,6 @@ use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackEvent};
 use netsim::time::SimDuration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::net::Ipv4Addr;
 
@@ -36,7 +35,7 @@ const TAG_MX: u64 = 1;
 const TAG_A: u64 = 2;
 
 /// Counters describing SMTP-server activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SmtpStats {
     /// Messages accepted.
     pub mails: u64,

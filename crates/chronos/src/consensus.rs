@@ -11,12 +11,11 @@
 //! multiple resolvers are combined under a [`ConsensusRule`], feeding the
 //! same [`crate::pool::PoolGenerator`] bookkeeping.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// How multi-resolver answers are combined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConsensusRule {
     /// Accept an address vouched for by any resolver (no protection —
     /// the union is as weak as the weakest resolver).
@@ -45,7 +44,7 @@ impl ConsensusRule {
 }
 
 /// Outcome of combining one round's answers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConsensusRound {
     /// Addresses that met the quorum, in deterministic order.
     pub accepted: Vec<Ipv4Addr>,

@@ -13,12 +13,11 @@
 use crate::config::PoolGenConfig;
 use dnslab::wire::Message;
 use netsim::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 /// What one DNS round contributed to the pool.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolRound {
     /// 1-based round number.
     pub round: usize,

@@ -3,9 +3,10 @@
 //!
 //! One request per line, one (or, for `watch`, several) response lines
 //! back; a connection handles any number of requests until the client
-//! closes it. Every response carries `"ok"`; failures carry `"error"`
-//! instead of the payload. The full protocol with annotated examples
-//! lives in `docs/OPERATIONS.md`.
+//! closes it. A request line longer than [`MAX_REQUEST_BYTES`] gets an
+//! error response and the connection is closed. Every response carries
+//! `"ok"`; failures carry `"error"` instead of the payload. The full
+//! protocol with annotated examples lives in `docs/OPERATIONS.md`.
 //!
 //! Every daemon carries a [`DaemonObs`]: the `metrics` command renders
 //! its registry as Prometheus text exposition, every dispatched command
@@ -14,7 +15,7 @@
 //! logger (level from `CHRONOSD_LOG`).
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -24,7 +25,8 @@ use std::time::{Duration, Instant};
 use fleet::engine::Fleet;
 
 use crate::jobs::{
-    default_workers, Job, JobSnapshot, JobSpec, JobState, JobTable, Params, SweepOutcome,
+    default_workers, resume_spec, Job, JobSnapshot, JobSpec, JobState, JobTable, Params,
+    SweepOutcome,
 };
 use crate::json::Json;
 use crate::metrics::DaemonObs;
@@ -37,6 +39,12 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// How long observers wait for a stepping worker to park its fleet
 /// before giving up (`status`/`report`/`checkpoint` on a busy job).
 const PARK_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Longest request line the daemon reads. Requests are small JSON
+/// objects (checkpoints travel by path, never inline), so a longer line
+/// is answered with an error and the connection is closed before it can
+/// grow the daemon's memory.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Commands the daemon understands; anything else is dispatched to the
 /// error arm and counted under `chronosd_commands_total{cmd="unknown"}`
@@ -344,6 +352,13 @@ fn adopt_entry(
     entry: &ManifestEntry,
     params: Params,
 ) -> Result<(), String> {
+    // A resumed job's state file is the authoritative copy; entries
+    // written before resume adoption also carry the whole checkpoint as
+    // `bytes_hex` in their spec, which is dropped here.
+    let spec = match entry.kind.as_str() {
+        kind @ ("resume" | "resume-sweep") => resume_spec(kind),
+        _ => entry.spec.clone(),
+    };
     // Quarantine `file` and register the job as failed with `why`.
     let quarantine = |file: &str, why: String| -> Result<(), String> {
         obs.quarantines.inc();
@@ -357,7 +372,7 @@ fn adopt_entry(
             .adopt_failed(
                 &entry.name,
                 &entry.kind,
-                entry.spec.clone(),
+                spec.clone(),
                 format!("state file quarantined: {why}"),
             )
             .map(|_| ())
@@ -368,24 +383,24 @@ fn adopt_entry(
             .clone()
             .unwrap_or_else(|| "failed before the last shutdown".to_string());
         return table
-            .adopt_failed(&entry.name, &entry.kind, entry.spec.clone(), error)
+            .adopt_failed(&entry.name, &entry.kind, spec, error)
             .map(|_| ());
     }
     let Some(file) = &entry.file else {
         // No simulation bytes: a still-queued job is resubmitted from its
-        // spec; a terminal one has nothing left to serve.
-        if entry.state.is_terminal() {
-            return table
-                .adopt_failed(
-                    &entry.name,
-                    &entry.kind,
-                    entry.spec.clone(),
-                    "no state bytes survived the last shutdown".to_string(),
-                )
-                .map(|_| ());
-        }
-        let spec = JobSpec::from_json(&entry.spec)?;
-        return table.submit(&entry.name, spec).map(|_| ());
+        // normalized spec; a terminal one (or a resumed one, whose spec
+        // names no simulation) has nothing left to serve.
+        let resubmitted = if entry.state.is_terminal() {
+            Err("no state bytes survived the last shutdown".to_string())
+        } else {
+            JobSpec::from_json(&spec).map_err(|e| format!("cannot resubmit: {e}"))
+        };
+        return match resubmitted {
+            Ok(submission) => table.submit(&entry.name, submission).map(|_| ()),
+            Err(error) => table
+                .adopt_failed(&entry.name, &entry.kind, spec, error)
+                .map(|_| ()),
+        };
     };
     let bytes = match dir.read_job_file(file) {
         Ok(bytes) => bytes,
@@ -394,7 +409,7 @@ fn adopt_entry(
                 .adopt_failed(
                     &entry.name,
                     &entry.kind,
-                    entry.spec.clone(),
+                    spec,
                     format!("state file unreadable: {io}"),
                 )
                 .map(|_| ());
@@ -405,7 +420,7 @@ fn adopt_entry(
             Ok(cursor) => match table.adopt_sweep(
                 &entry.name,
                 &entry.kind,
-                entry.spec.clone(),
+                spec.clone(),
                 params,
                 cursor,
                 entry.state,
@@ -427,7 +442,7 @@ fn adopt_entry(
                 table.adopt_fleet(
                     &entry.name,
                     &entry.kind,
-                    entry.spec.clone(),
+                    spec,
                     params,
                     fleet,
                     entry.state,
@@ -555,6 +570,56 @@ fn ping_fields(ctx: &ServerCtx) -> Vec<(String, Json)> {
             ),
         ),
     ]
+}
+
+/// The `resume` command: decode the checkpoint file named by `path` —
+/// `SWP1` as a sweep cursor, anything else as `CHR1` — and adopt it as a
+/// new job, queued for the pool at once. A file that does not decode is
+/// an error response; no job is registered for it.
+fn resume(ctx: &ServerCtx, request: &Json) -> Result<Arc<Job>, String> {
+    let (Some(name), Some(path)) = (
+        request.get("name").and_then(Json::as_str),
+        request.get("path").and_then(Json::as_str),
+    ) else {
+        return Err("resume needs \"name\" and \"path\" (strings)".to_string());
+    };
+    let bytes = std::fs::read(path).map_err(|io| format!("reading {path:?}: {io}"))?;
+    let mut params = Params::default();
+    if let Some(threads) = request.get("threads").and_then(Json::as_usize) {
+        params.threads = threads.max(1);
+    }
+    if let Some(slice_s) = request.get("slice_s").and_then(Json::as_u64) {
+        params.slice_s = slice_s.max(1);
+    }
+    if bytes.starts_with(&crate::sweep::MAGIC) {
+        params.pause_at_row = request.get("pause_at_row").and_then(Json::as_usize);
+        let cursor =
+            crate::sweep::decode(&bytes).map_err(|e| format!("sweep cursor rejected: {e}"))?;
+        let kind = "resume-sweep";
+        ctx.table.adopt_sweep(
+            name,
+            kind,
+            resume_spec(kind),
+            params,
+            cursor,
+            JobState::Queued,
+            0,
+        )
+    } else {
+        params.pause_at_s = request.get("pause_at_s").and_then(Json::as_u64);
+        let fleet = Fleet::restore_with(&bytes, Some(Arc::clone(&ctx.obs.fleet)))
+            .map_err(|e| format!("checkpoint rejected: {e}"))?;
+        let kind = "resume";
+        ctx.table.adopt_fleet(
+            name,
+            kind,
+            resume_spec(kind),
+            params,
+            fleet,
+            JobState::Queued,
+            0,
+        )
+    }
 }
 
 /// Handle one request; `None` means the response was already streamed
@@ -711,53 +776,14 @@ fn dispatch(
             },
             Err(response) => response,
         },
-        "resume" => {
-            let name = request.get("name").and_then(Json::as_str);
-            let path = request.get("path").and_then(Json::as_str);
-            match (name, path) {
-                (Some(name), Some(path)) => match std::fs::read(path) {
-                    Ok(bytes) => {
-                        let threads = request
-                            .get("threads")
-                            .and_then(Json::as_usize)
-                            .unwrap_or(1)
-                            .max(1);
-                        let slice_s = request
-                            .get("slice_s")
-                            .and_then(Json::as_u64)
-                            .unwrap_or(crate::jobs::DEFAULT_SLICE_S)
-                            .max(1);
-                        // The file's magic says what it is: SWP1 resumes
-                        // a sweep cursor, anything else is tried as CHR1.
-                        let spec = if bytes.starts_with(&crate::sweep::MAGIC) {
-                            JobSpec::ResumeSweep {
-                                bytes,
-                                threads,
-                                slice_s,
-                                pause_at_row: request.get("pause_at_row").and_then(Json::as_usize),
-                            }
-                        } else {
-                            JobSpec::Resume {
-                                bytes,
-                                threads,
-                                slice_s,
-                                pause_at_s: request.get("pause_at_s").and_then(Json::as_u64),
-                            }
-                        };
-                        match table.submit(name, spec) {
-                            Ok(job) => ok(vec![
-                                ("job".into(), Json::str(job.name.clone())),
-                                ("kind".into(), Json::str(job.kind)),
-                                ("state".into(), Json::str(job.snapshot().state.as_str())),
-                            ]),
-                            Err(message) => err(message),
-                        }
-                    }
-                    Err(io) => err(format!("reading {path:?}: {io}")),
-                },
-                _ => err("resume needs \"name\" and \"path\" (strings)"),
-            }
-        }
+        "resume" => match resume(ctx, request) {
+            Ok(job) => ok(vec![
+                ("job".into(), Json::str(job.name.clone())),
+                ("kind".into(), Json::str(job.kind)),
+                ("state".into(), Json::str(job.snapshot().state.as_str())),
+            ]),
+            Err(message) => err(message),
+        },
         "unpause" => match require_job(table, request) {
             Ok(job) => {
                 job.request_unpause();
@@ -843,15 +869,30 @@ fn handle_connection(stream: UnixStream, ctx: &ServerCtx) {
     // Bounded reads so an idle connection cannot pin the handler past a
     // shutdown: on each timeout the loop re-checks the flag. Partial
     // lines survive timeouts because read_until keeps consumed bytes in
-    // the buffer.
+    // the buffer. Each read may fill the buffer to one byte past the
+    // request-line limit, which is how an over-long line is told apart.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(300)));
     let mut reader = BufReader::new(stream);
     let mut buf: Vec<u8> = Vec::new();
     loop {
         let mut eof = false;
-        match reader.read_until(b'\n', &mut buf) {
+        let room = (MAX_REQUEST_BYTES + 1).saturating_sub(buf.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut buf) {
             Ok(0) => break,
             Ok(_) if buf.ends_with(b"\n") => {}
+            Ok(_) if buf.len() > MAX_REQUEST_BYTES => {
+                ctx.obs.protocol_errors.inc();
+                ctx.obs.logger.warn(
+                    "chronosd::daemon",
+                    "request line too long; closing connection",
+                    &[("limit", &MAX_REQUEST_BYTES)],
+                );
+                let response = err(format!(
+                    "request line exceeds {MAX_REQUEST_BYTES} bytes; closing connection"
+                ));
+                let _ = writeln!(writer, "{}", response.render()).and_then(|()| writer.flush());
+                break;
+            }
             Ok(_) => eof = true, // final unterminated line
             Err(e)
                 if matches!(

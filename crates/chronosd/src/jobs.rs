@@ -1,7 +1,23 @@
 //! Named jobs: persistent fleet runs and checkpointable sweeps hosted by
 //! the daemon, scheduled on a bounded worker pool.
 //!
-//! A *job* owns one simulation and is stepped in `run_until` **slices**
+//! A job enters the table one of two ways:
+//!
+//! * **submit** — [`JobSpec::from_json`] parses the wire spec. It is the
+//!   one place that knows the experiment presets: `e16-fleet`,
+//!   `e17-fleet` and `e18-fleet` resolve there, once, into a
+//!   [`fleet::FleetConfig`], and `e16-sweep`/`e18-sweep` into a
+//!   [`JobSpec::Sweep`] keyed by its [`SweepFlavor`]. The scheduling
+//!   knobs travel beside the spec as [`Params`], and the parse also
+//!   yields the *normalized* spec object — every recognised key with its
+//!   resolved value — that the state-dir manifest records.
+//! * **adoption** — an already restored simulation is handed to
+//!   [`JobTable::adopt_fleet`] / [`JobTable::adopt_sweep`]. Boot from a
+//!   state dir and the daemon's `resume` command share this path. A
+//!   resumed job's spec is just `{"kind":"resume"}` (or `resume-sweep`):
+//!   its checkpoint is the authoritative copy.
+//!
+//! A job owns one simulation and is stepped in `run_until` **slices**
 //! (default 60 simulated seconds) by a shared pool of N workers (default
 //! `cores - 1`). Scheduling is cooperative round-robin: a worker pops the
 //! next runnable job from the queue, steps exactly one slice, re-enqueues
@@ -24,15 +40,13 @@
 //!   invisible to the simulation (`piecewise_runs_equal_one_continuous_run`,
 //!   `resume_equals_uninterrupted_run`).
 //!
-//! Sweep jobs (`e16-sweep`, `e18-sweep`) are no longer monolithic batch
-//! units: the worker steps the current row's fleet in slices like any
-//! fleet job and, when a row reaches its horizon, records the row's
-//! final checkpoint and report and immediately builds (and parks) the
-//! next row's fleet. The
-//! slot therefore always holds the *current row*, so a sweep is
-//! observable, pausable at row boundaries (`pause_at_row`), and
-//! checkpointable — the per-row cursor persists as a `SWP1` sidecar (see
-//! [`crate::sweep`]).
+//! Sweep jobs are no longer monolithic batch units: the worker steps the
+//! current row's fleet in slices like any fleet job and, when a row
+//! reaches its horizon, records the row's final checkpoint and report and
+//! immediately builds (and parks) the next row's fleet. The slot
+//! therefore always holds the *current row*, so a sweep is observable,
+//! pausable at row boundaries (`pause_at_row`), and checkpointable — the
+//! per-row cursor persists as a `SWP1` sidecar (see [`crate::sweep`]).
 //!
 //! Determinism follows: a job's final report depends only on its
 //! [`fleet::FleetConfig`] — not on slice length, worker count, how often
@@ -52,11 +66,12 @@ use chronos_pitfalls::experiments::{
 use chronos_pitfalls::montecarlo::SweepStats;
 use fleet::engine::{Fleet, FleetProgress, FleetReport};
 use fleet::metrics::FleetMetrics;
+use fleet::FleetConfig;
 use netsim::time::{SimDuration, SimTime};
 
 use crate::json::Json;
 use crate::metrics::{DaemonObs, JobMetrics};
-use crate::sweep::SweepFlavor;
+use crate::sweep::{SweepCursor, SweepFlavor};
 
 /// Default slice length in simulated seconds between observation points.
 pub const DEFAULT_SLICE_S: u64 = 60;
@@ -71,130 +86,29 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// What a job runs. Parsed from the `spec` object of a `submit` request
-/// (see `docs/OPERATIONS.md` for the wire format); the `Resume*` variants
-/// are also built by the daemon from checkpoint files and the state-dir
-/// manifest.
-#[derive(Debug, Clone)]
+/// What a job runs, as [`JobSpec::from_json`] resolves it from the
+/// `spec` object of a `submit` request (see `docs/OPERATIONS.md` for the
+/// wire format).
+#[derive(Debug, Clone, PartialEq)]
 pub enum JobSpec {
-    /// One E16 fleet: the mixed 2:1:1 population across `resolvers`
-    /// caches with `poisoned_resolvers` of them poisoned at t = 100 s.
-    E16Fleet {
+    /// One fleet run: an `e16-fleet`, `e17-fleet` or `e18-fleet` preset,
+    /// already resolved into its configuration with `threads` set
+    /// (boxed: a configuration is an order of magnitude larger than the
+    /// other variants).
+    Fleet(Box<FleetConfig>),
+    /// A full experiment grid (`e16-sweep`: `k = 0..=resolvers` poisoned
+    /// caches; `e18-sweep`: [`chronos_pitfalls::experiments::e18_grid`]),
+    /// run row by row so it can be observed, paused at row boundaries,
+    /// and checkpointed (`SWP1` cursor) like any other job.
+    Sweep {
+        /// Which grid the sweep walks.
+        flavor: SweepFlavor,
         /// Deterministic seed.
         seed: u64,
-        /// Fleet size.
+        /// Fleet size per row.
         clients: usize,
-        /// Independent resolver caches.
+        /// Independent resolver caches; the grid derives from it.
         resolvers: usize,
-        /// Caches the attacker poisons (`0..=resolvers`).
-        poisoned_resolvers: usize,
-        /// Worker threads for intra-fleet sharded stepping.
-        threads: usize,
-        /// Slice length (simulated seconds) between observation points.
-        slice_s: u64,
-        /// Optionally park the job in `paused` state once simulated time
-        /// reaches this point (checkpoint anchor for operators and CI).
-        pause_at_s: Option<u64>,
-    },
-    /// One E17 fleet: the E16 scenario on a degraded network.
-    E17Fleet {
-        /// Deterministic seed.
-        seed: u64,
-        /// Fleet size.
-        clients: usize,
-        /// Independent resolver caches.
-        resolvers: usize,
-        /// Per-sample NTP loss / DNS SERVFAIL probability.
-        loss: f64,
-        /// Resolvers covered by the mid-run outage window.
-        outage_coverage: usize,
-        /// Worker threads for intra-fleet sharded stepping.
-        threads: usize,
-        /// Slice length (simulated seconds) between observation points.
-        slice_s: u64,
-        /// Optional pause point (simulated seconds).
-        pause_at_s: Option<u64>,
-    },
-    /// One E18 fleet: the partially-secure population — the E16 mix
-    /// diluted with NTS and Roughtime tiers at `deployment` ∈ [0, 1] —
-    /// with `poisoned_resolvers` caches poisoned at t = 100 s.
-    E18Fleet {
-        /// Deterministic seed.
-        seed: u64,
-        /// Fleet size.
-        clients: usize,
-        /// Independent resolver caches.
-        resolvers: usize,
-        /// Fraction of the population on secure-time tiers (rounded to
-        /// sixteenths by `e18_tiers`; 0 is exactly the E16 mix).
-        deployment: f64,
-        /// Caches the attacker poisons (`0..=resolvers`).
-        poisoned_resolvers: usize,
-        /// Worker threads for intra-fleet sharded stepping.
-        threads: usize,
-        /// Slice length (simulated seconds) between observation points.
-        slice_s: u64,
-        /// Optional pause point (simulated seconds).
-        pause_at_s: Option<u64>,
-    },
-    /// The full E16 partial-poisoning sweep (`k = 0..=resolvers`), run
-    /// row by row so it can be observed, paused at row boundaries, and
-    /// checkpointed (`SWP1` cursor) like any other job.
-    E16Sweep {
-        /// Deterministic seed.
-        seed: u64,
-        /// Fleet size per sweep point.
-        clients: usize,
-        /// Independent resolver caches.
-        resolvers: usize,
-        /// Worker threads for each row's fleet.
-        threads: usize,
-        /// Slice length (simulated seconds) between observation points.
-        slice_s: u64,
-        /// Optionally park in `paused` state when about to *start* this
-        /// row (0-based; row k poisons k resolvers). A row-boundary
-        /// checkpoint anchor.
-        pause_at_row: Option<usize>,
-    },
-    /// The full E18 deployment × poisoning sweep
-    /// ([`chronos_pitfalls::experiments::e18_grid`]), run row by row
-    /// with the same observe/pause/checkpoint affordances as
-    /// [`JobSpec::E16Sweep`].
-    E18Sweep {
-        /// Deterministic seed.
-        seed: u64,
-        /// Fleet size per sweep point.
-        clients: usize,
-        /// Independent resolver caches.
-        resolvers: usize,
-        /// Worker threads for each row's fleet.
-        threads: usize,
-        /// Slice length (simulated seconds) between observation points.
-        slice_s: u64,
-        /// Optional row-boundary pause anchor (0-based grid index).
-        pause_at_row: Option<usize>,
-    },
-    /// Resume a fleet from `CHR1` checkpoint bytes (any fleet kind).
-    Resume {
-        /// Serialized checkpoint (see `fleet::checkpoint`).
-        bytes: Vec<u8>,
-        /// Worker threads for the resumed run.
-        threads: usize,
-        /// Slice length (simulated seconds) between observation points.
-        slice_s: u64,
-        /// Optional pause point (simulated seconds).
-        pause_at_s: Option<u64>,
-    },
-    /// Resume a sweep from `SWP1` cursor bytes (see [`crate::sweep`]).
-    ResumeSweep {
-        /// Serialized sweep cursor.
-        bytes: Vec<u8>,
-        /// Worker threads for each remaining row's fleet.
-        threads: usize,
-        /// Slice length (simulated seconds) between observation points.
-        slice_s: u64,
-        /// Optional row-boundary pause point (0-based).
-        pause_at_row: Option<usize>,
     },
     /// A supervision probe: the job panics on its first slice. Operators
     /// (and CI) use it to verify the pool's panic isolation — the probe
@@ -206,403 +120,186 @@ pub enum JobSpec {
     },
 }
 
-fn field_u64(spec: &Json, key: &str, default: u64) -> Result<u64, String> {
-    match spec.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| format!("{key}: expected a non-negative integer")),
-    }
+/// A parsed `submit` spec: what to run, how to schedule it, and the
+/// normalized spec object the state-dir manifest records.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Submission {
+    /// What the job runs.
+    pub spec: JobSpec,
+    /// How the pool schedules it.
+    pub params: Params,
+    /// The kind plus every recognised key with its resolved value
+    /// (defaults filled in, unknown keys dropped). Parsing it again
+    /// yields the same spec and params.
+    pub normalized: Json,
 }
 
-fn field_usize(spec: &Json, key: &str, default: usize) -> Result<usize, String> {
-    match spec.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_usize()
-            .ok_or_else(|| format!("{key}: expected a non-negative integer")),
-    }
+/// Reads `submit` spec fields and records each recognised key with its
+/// resolved value, so the normalized spec is a by-product of parsing
+/// and cannot drift from it.
+struct SpecReader<'a> {
+    spec: &'a Json,
+    normalized: Vec<(String, Json)>,
 }
 
-fn field_f64(spec: &Json, key: &str, default: f64) -> Result<f64, String> {
-    match spec.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| format!("{key}: expected a number")),
+impl SpecReader<'_> {
+    /// Non-negative integer field, `default` when absent, raised to `min`.
+    fn u64(&mut self, key: &str, default: u64, min: u64) -> Result<u64, String> {
+        let value = match self.spec.get(key) {
+            None => default,
+            Some(v) => v
+                .as_u64()
+                .ok_or_else(|| format!("{key}: expected a non-negative integer"))?,
+        }
+        .max(min);
+        self.normalized.push((key.to_string(), Json::u64(value)));
+        Ok(value)
     }
-}
 
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    fn usize(&mut self, key: &str, default: usize, min: usize) -> Result<usize, String> {
+        let value = self.u64(key, default as u64, min as u64)?;
+        usize::try_from(value).map_err(|_| format!("{key}: {value} is out of range"))
     }
-    out
-}
 
-fn hex_decode(text: &str) -> Result<Vec<u8>, String> {
-    if !text.len().is_multiple_of(2) {
-        return Err("bytes_hex: odd length".to_string());
+    fn f64(&mut self, key: &str, default: f64) -> Result<f64, String> {
+        let value = match self.spec.get(key) {
+            None => default,
+            Some(v) => v
+                .as_f64()
+                .filter(|v| v.is_finite())
+                .ok_or_else(|| format!("{key}: expected a number"))?,
+        };
+        self.normalized.push((key.to_string(), Json::f64(value)));
+        Ok(value)
     }
-    (0..text.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&text[i..i + 2], 16).map_err(|_| "bytes_hex: not hex".to_string())
+
+    /// Optional anchor: absent or `null` is `None` and is not recorded.
+    fn anchor(&mut self, key: &str) -> Result<Option<u64>, String> {
+        match self.spec.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(_) => self.u64(key, 0, 0).map(Some),
+        }
+    }
+
+    /// `poisoned_resolvers`, defaulting to every cache.
+    fn poisoned(&mut self, resolvers: usize) -> Result<usize, String> {
+        let poisoned = self.usize("poisoned_resolvers", resolvers, 0)?;
+        if poisoned > resolvers {
+            return Err(format!(
+                "poisoned_resolvers: {poisoned} exceeds resolvers ({resolvers})"
+            ));
+        }
+        Ok(poisoned)
+    }
+
+    /// The scheduling knobs of fleet and sweep kinds; a sweep pauses at a
+    /// row (`pause_at_row`), a fleet at a simulated time (`pause_at_s`).
+    fn params(&mut self, sweep: bool) -> Result<Params, String> {
+        let threads = self.usize("threads", 1, 1)?;
+        let slice_s = self.u64("slice_s", DEFAULT_SLICE_S, 1)?;
+        let (pause_at_s, pause_at_row) = if sweep {
+            (None, self.anchor("pause_at_row")?.map(|row| row as usize))
+        } else {
+            (self.anchor("pause_at_s")?, None)
+        };
+        Ok(Params {
+            threads,
+            slice_s,
+            pause_at_s,
+            pause_at_row,
         })
-        .collect()
+    }
 }
 
 impl JobSpec {
-    /// Parse a `submit` spec object. Unknown kinds and malformed fields
-    /// are rejected with a message naming the offending field.
-    pub fn from_json(spec: &Json) -> Result<JobSpec, String> {
+    /// Parse a `submit` spec object, resolving fleet presets into their
+    /// [`FleetConfig`]. Unknown kinds and malformed fields are rejected
+    /// with a message naming the offending field; unknown keys are
+    /// ignored and left out of [`Submission::normalized`].
+    pub fn from_json(spec: &Json) -> Result<Submission, String> {
         let kind = spec
             .get("kind")
             .and_then(Json::as_str)
             .ok_or_else(|| "spec.kind: expected a string".to_string())?;
-        let threads = field_usize(spec, "threads", 1)?.max(1);
-        let slice_s = field_u64(spec, "slice_s", DEFAULT_SLICE_S)?.max(1);
-        let pause_at_s = match spec.get("pause_at_s") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| "pause_at_s: expected a non-negative integer".to_string())?,
-            ),
+        let mut r = SpecReader {
+            spec,
+            normalized: vec![("kind".to_string(), Json::str(kind))],
         };
-        let pause_at_row = match spec.get("pause_at_row") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_usize()
-                    .ok_or_else(|| "pause_at_row: expected a non-negative integer".to_string())?,
-            ),
-        };
-        match kind {
-            "e16-fleet" => {
-                let resolvers = field_usize(spec, "resolvers", 4)?.max(1);
-                let poisoned_resolvers = field_usize(spec, "poisoned_resolvers", resolvers)?;
-                if poisoned_resolvers > resolvers {
-                    return Err(format!(
-                        "poisoned_resolvers: {poisoned_resolvers} exceeds resolvers ({resolvers})"
-                    ));
-                }
-                Ok(JobSpec::E16Fleet {
-                    seed: field_u64(spec, "seed", 7)?,
-                    clients: field_usize(spec, "clients", 1_000)?.max(1),
-                    resolvers,
-                    poisoned_resolvers,
-                    threads,
-                    slice_s,
-                    pause_at_s,
-                })
+        let (spec, params) = match kind {
+            "e16-fleet" | "e17-fleet" | "e18-fleet" => {
+                let seed = r.u64("seed", 7, 0)?;
+                let clients = r.usize("clients", 1_000, 1)?;
+                let default_resolvers = if kind == "e17-fleet" { 8 } else { 4 };
+                let resolvers = r.usize("resolvers", default_resolvers, 1)?;
+                let mut config = match kind {
+                    "e16-fleet" => e16_config(seed, clients, resolvers, r.poisoned(resolvers)?),
+                    "e17-fleet" => {
+                        let loss = r.f64("loss", 0.05)?;
+                        let coverage = r.usize("outage_coverage", 0, 0)?;
+                        if coverage > resolvers {
+                            return Err(format!(
+                                "outage_coverage: {coverage} exceeds resolvers ({resolvers})"
+                            ));
+                        }
+                        e17_config(seed, clients, resolvers, loss, coverage)
+                    }
+                    _ => {
+                        let deployment = r.f64("deployment", 0.5)?;
+                        if !(0.0..=1.0).contains(&deployment) {
+                            return Err(format!("deployment: {deployment} outside [0, 1]"));
+                        }
+                        let poisoned = r.poisoned(resolvers)?;
+                        e18_config(seed, clients, resolvers, deployment, poisoned)
+                    }
+                };
+                let params = r.params(false)?;
+                config.threads = params.threads;
+                (JobSpec::Fleet(Box::new(config)), params)
             }
-            "e17-fleet" => {
-                let resolvers = field_usize(spec, "resolvers", 8)?.max(1);
-                let outage_coverage = field_usize(spec, "outage_coverage", 0)?;
-                if outage_coverage > resolvers {
-                    return Err(format!(
-                        "outage_coverage: {outage_coverage} exceeds resolvers ({resolvers})"
-                    ));
-                }
-                Ok(JobSpec::E17Fleet {
-                    seed: field_u64(spec, "seed", 7)?,
-                    clients: field_usize(spec, "clients", 1_000)?.max(1),
-                    resolvers,
-                    loss: field_f64(spec, "loss", 0.05)?,
-                    outage_coverage,
-                    threads,
-                    slice_s,
-                    pause_at_s,
-                })
+            "e16-sweep" | "e18-sweep" => {
+                let spec = JobSpec::Sweep {
+                    flavor: if kind == "e16-sweep" {
+                        SweepFlavor::E16
+                    } else {
+                        SweepFlavor::E18
+                    },
+                    seed: r.u64("seed", 7, 0)?,
+                    clients: r.usize("clients", 1_000, 1)?,
+                    resolvers: r.usize("resolvers", 4, 1)?,
+                };
+                (spec, r.params(true)?)
             }
-            "e18-fleet" => {
-                let resolvers = field_usize(spec, "resolvers", 4)?.max(1);
-                let poisoned_resolvers = field_usize(spec, "poisoned_resolvers", resolvers)?;
-                if poisoned_resolvers > resolvers {
-                    return Err(format!(
-                        "poisoned_resolvers: {poisoned_resolvers} exceeds resolvers ({resolvers})"
-                    ));
-                }
-                let deployment = field_f64(spec, "deployment", 0.5)?;
-                if !(0.0..=1.0).contains(&deployment) {
-                    return Err(format!("deployment: {deployment} outside [0, 1]"));
-                }
-                Ok(JobSpec::E18Fleet {
-                    seed: field_u64(spec, "seed", 7)?,
-                    clients: field_usize(spec, "clients", 1_000)?.max(1),
-                    resolvers,
-                    deployment,
-                    poisoned_resolvers,
-                    threads,
-                    slice_s,
-                    pause_at_s,
-                })
-            }
-            "e16-sweep" => Ok(JobSpec::E16Sweep {
-                seed: field_u64(spec, "seed", 7)?,
-                clients: field_usize(spec, "clients", 1_000)?.max(1),
-                resolvers: field_usize(spec, "resolvers", 4)?.max(1),
-                threads,
-                slice_s,
-                pause_at_row,
-            }),
-            "e18-sweep" => Ok(JobSpec::E18Sweep {
-                seed: field_u64(spec, "seed", 7)?,
-                clients: field_usize(spec, "clients", 1_000)?.max(1),
-                resolvers: field_usize(spec, "resolvers", 4)?.max(1),
-                threads,
-                slice_s,
-                pause_at_row,
-            }),
-            "resume" => Ok(JobSpec::Resume {
-                bytes: Self::bytes_hex_field(spec)?,
-                threads,
-                slice_s,
-                pause_at_s,
-            }),
-            "resume-sweep" => Ok(JobSpec::ResumeSweep {
-                bytes: Self::bytes_hex_field(spec)?,
-                threads,
-                slice_s,
-                pause_at_row,
-            }),
-            "panic-probe" => Ok(JobSpec::PanicProbe {
-                message: spec
+            "panic-probe" => {
+                let message = r
+                    .spec
                     .get("message")
                     .and_then(Json::as_str)
                     .unwrap_or("panic probe")
-                    .to_string(),
-            }),
-            other => Err(format!(
-                "spec.kind: unknown kind {other:?} (expected e16-fleet, e17-fleet, \
-                 e18-fleet, e16-sweep, e18-sweep or panic-probe)"
-            )),
-        }
+                    .to_string();
+                r.normalized
+                    .push(("message".to_string(), Json::str(message.clone())));
+                (JobSpec::PanicProbe { message }, Params::default())
+            }
+            other => {
+                return Err(format!(
+                    "spec.kind: unknown kind {other:?} (expected e16-fleet, e17-fleet, \
+                     e18-fleet, e16-sweep, e18-sweep or panic-probe)"
+                ))
+            }
+        };
+        Ok(Submission {
+            spec,
+            params,
+            normalized: Json::Obj(r.normalized),
+        })
     }
+}
 
-    fn bytes_hex_field(spec: &Json) -> Result<Vec<u8>, String> {
-        let hex = spec
-            .get("bytes_hex")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "bytes_hex: expected a hex string".to_string())?;
-        hex_decode(hex)
-    }
-
-    /// Render the spec back to the wire/manifest object [`JobSpec::from_json`]
-    /// accepts (round-trips exactly; checkpoint bytes travel as hex).
-    /// This is what the state-dir manifest stores for jobs that have not
-    /// built their simulation yet, so a rebooted daemon can resubmit them.
-    pub fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = vec![("kind".into(), Json::str(self.kind()))];
-        fn num(fields: &mut Vec<(String, Json)>, key: &str, value: u64) {
-            fields.push((key.into(), Json::u64(value)));
-        }
-        match self {
-            JobSpec::E16Fleet {
-                seed,
-                clients,
-                resolvers,
-                poisoned_resolvers,
-                threads,
-                slice_s,
-                pause_at_s,
-            } => {
-                num(&mut fields, "seed", *seed);
-                num(&mut fields, "clients", *clients as u64);
-                num(&mut fields, "resolvers", *resolvers as u64);
-                num(
-                    &mut fields,
-                    "poisoned_resolvers",
-                    *poisoned_resolvers as u64,
-                );
-                num(&mut fields, "threads", *threads as u64);
-                num(&mut fields, "slice_s", *slice_s);
-                if let Some(p) = pause_at_s {
-                    num(&mut fields, "pause_at_s", *p);
-                }
-            }
-            JobSpec::E17Fleet {
-                seed,
-                clients,
-                resolvers,
-                loss,
-                outage_coverage,
-                threads,
-                slice_s,
-                pause_at_s,
-            } => {
-                num(&mut fields, "seed", *seed);
-                num(&mut fields, "clients", *clients as u64);
-                num(&mut fields, "resolvers", *resolvers as u64);
-                fields.push(("loss".into(), Json::f64(*loss)));
-                num(&mut fields, "outage_coverage", *outage_coverage as u64);
-                num(&mut fields, "threads", *threads as u64);
-                num(&mut fields, "slice_s", *slice_s);
-                if let Some(p) = pause_at_s {
-                    num(&mut fields, "pause_at_s", *p);
-                }
-            }
-            JobSpec::E18Fleet {
-                seed,
-                clients,
-                resolvers,
-                deployment,
-                poisoned_resolvers,
-                threads,
-                slice_s,
-                pause_at_s,
-            } => {
-                num(&mut fields, "seed", *seed);
-                num(&mut fields, "clients", *clients as u64);
-                num(&mut fields, "resolvers", *resolvers as u64);
-                fields.push(("deployment".into(), Json::f64(*deployment)));
-                num(
-                    &mut fields,
-                    "poisoned_resolvers",
-                    *poisoned_resolvers as u64,
-                );
-                num(&mut fields, "threads", *threads as u64);
-                num(&mut fields, "slice_s", *slice_s);
-                if let Some(p) = pause_at_s {
-                    num(&mut fields, "pause_at_s", *p);
-                }
-            }
-            JobSpec::E16Sweep {
-                seed,
-                clients,
-                resolvers,
-                threads,
-                slice_s,
-                pause_at_row,
-            }
-            | JobSpec::E18Sweep {
-                seed,
-                clients,
-                resolvers,
-                threads,
-                slice_s,
-                pause_at_row,
-            } => {
-                num(&mut fields, "seed", *seed);
-                num(&mut fields, "clients", *clients as u64);
-                num(&mut fields, "resolvers", *resolvers as u64);
-                num(&mut fields, "threads", *threads as u64);
-                num(&mut fields, "slice_s", *slice_s);
-                if let Some(p) = pause_at_row {
-                    num(&mut fields, "pause_at_row", *p as u64);
-                }
-            }
-            JobSpec::Resume {
-                bytes,
-                threads,
-                slice_s,
-                pause_at_s,
-            } => {
-                fields.push(("bytes_hex".into(), Json::str(hex_encode(bytes))));
-                num(&mut fields, "threads", *threads as u64);
-                num(&mut fields, "slice_s", *slice_s);
-                if let Some(p) = pause_at_s {
-                    num(&mut fields, "pause_at_s", *p);
-                }
-            }
-            JobSpec::ResumeSweep {
-                bytes,
-                threads,
-                slice_s,
-                pause_at_row,
-            } => {
-                fields.push(("bytes_hex".into(), Json::str(hex_encode(bytes))));
-                num(&mut fields, "threads", *threads as u64);
-                num(&mut fields, "slice_s", *slice_s);
-                if let Some(p) = pause_at_row {
-                    num(&mut fields, "pause_at_row", *p as u64);
-                }
-            }
-            JobSpec::PanicProbe { message } => {
-                fields.push(("message".into(), Json::str(message.clone())));
-            }
-        }
-        Json::Obj(fields)
-    }
-
-    /// The job-kind label reported in `jobs` / `status` responses.
-    /// A resumed sweep reports as `e16-sweep` — it *is* one, and the
-    /// daemon's `report` dispatch keys off this label.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            JobSpec::E16Fleet { .. } => "e16-fleet",
-            JobSpec::E17Fleet { .. } => "e17-fleet",
-            JobSpec::E18Fleet { .. } => "e18-fleet",
-            JobSpec::E16Sweep { .. } => "e16-sweep",
-            JobSpec::E18Sweep { .. } => "e18-sweep",
-            JobSpec::Resume { .. } => "resume",
-            JobSpec::ResumeSweep { .. } => "resume-sweep",
-            JobSpec::PanicProbe { .. } => "panic-probe",
-        }
-    }
-
-    fn params(&self) -> Params {
-        match self {
-            JobSpec::E16Fleet {
-                threads,
-                slice_s,
-                pause_at_s,
-                ..
-            }
-            | JobSpec::E17Fleet {
-                threads,
-                slice_s,
-                pause_at_s,
-                ..
-            }
-            | JobSpec::E18Fleet {
-                threads,
-                slice_s,
-                pause_at_s,
-                ..
-            }
-            | JobSpec::Resume {
-                threads,
-                slice_s,
-                pause_at_s,
-                ..
-            } => Params {
-                threads: *threads,
-                slice_s: *slice_s,
-                pause_at_s: *pause_at_s,
-                pause_at_row: None,
-            },
-            JobSpec::E16Sweep {
-                threads,
-                slice_s,
-                pause_at_row,
-                ..
-            }
-            | JobSpec::E18Sweep {
-                threads,
-                slice_s,
-                pause_at_row,
-                ..
-            }
-            | JobSpec::ResumeSweep {
-                threads,
-                slice_s,
-                pause_at_row,
-                ..
-            } => Params {
-                threads: *threads,
-                slice_s: *slice_s,
-                pause_at_s: None,
-                pause_at_row: *pause_at_row,
-            },
-            JobSpec::PanicProbe { .. } => Params {
-                threads: 1,
-                slice_s: DEFAULT_SLICE_S,
-                pause_at_s: None,
-                pause_at_row: None,
-            },
-        }
-    }
+/// The whole spec a resumed job records (`kind` is `"resume"` or
+/// `"resume-sweep"`): the checkpoint it was adopted from is the
+/// authoritative copy of everything else.
+pub(crate) fn resume_spec(kind: &str) -> Json {
+    Json::Obj(vec![("kind".to_string(), Json::str(kind))])
 }
 
 /// Job lifecycle states.
@@ -620,7 +317,8 @@ pub enum JobState {
     Done,
     /// Stopped by an operator at a slice boundary; state retained.
     Stopped,
-    /// The worker failed (corrupt checkpoint, panic, ...); see the error.
+    /// The job panicked, or its state file was corrupt at boot; see the
+    /// error.
     Failed,
 }
 
@@ -687,6 +385,18 @@ pub struct Params {
     pub pause_at_row: Option<usize>,
 }
 
+impl Default for Params {
+    /// One thread, [`DEFAULT_SLICE_S`] slices, no pause anchor.
+    fn default() -> Params {
+        Params {
+            threads: 1,
+            slice_s: DEFAULT_SLICE_S,
+            pause_at_s: None,
+            pause_at_row: None,
+        }
+    }
+}
+
 /// Sweep bookkeeping: the per-row cursor that `SWP1` persists. The
 /// worker mutates it only while the slot is empty (between `take_parked`
 /// and `park`), so any observer holding the slot with a parked fleet sees
@@ -721,7 +431,7 @@ impl SweepBook {
     /// the book's identity, shared (via `e16_config` / `e18_config`)
     /// with the batch runners so a daemon sweep reproduces `run_e16` /
     /// `run_e18` byte for byte.
-    fn row_config(&self, row: usize) -> fleet::FleetConfig {
+    fn row_config(&self, row: usize) -> FleetConfig {
         match self.flavor {
             SweepFlavor::E16 => e16_config(self.seed, self.clients, self.resolvers, row),
             SweepFlavor::E18 => {
@@ -888,7 +598,8 @@ impl Job {
         *lock(&self.params)
     }
 
-    /// The original submit spec, as manifest-round-trippable JSON.
+    /// The normalized submit spec (just the kind for resumed jobs), as the
+    /// state-dir manifest records it.
     pub fn spec_json(&self) -> Json {
         self.spec_json.clone()
     }
@@ -1174,7 +885,7 @@ impl Job {
                 let spec = spec.clone();
                 // The job is out of the queue while stepping, so nobody
                 // else touches the worker state: safe to release the
-                // guard and let build() (and adopt_cursor) relock it.
+                // guard and let build() relock it.
                 drop(worker);
                 self.build(spec, fleet_metrics)
             }
@@ -1193,91 +904,45 @@ impl Job {
 
     /// First step: build the simulation from the spec.
     fn build(&self, spec: JobSpec, fleet_metrics: &Option<Arc<FleetMetrics>>) -> StepOutcome {
-        let sweep_flavor = match &spec {
-            JobSpec::E18Sweep { .. } => SweepFlavor::E18,
-            _ => SweepFlavor::E16,
-        };
-        match spec {
+        let (mut fleet, worker) = match spec {
             JobSpec::PanicProbe { message } => {
                 // The probe exists to exercise the pool's catch_unwind
                 // path end to end; the panic is caught one frame up.
                 panic!("{message}");
             }
-            JobSpec::E16Sweep {
-                seed,
-                clients,
-                resolvers,
-                threads,
-                ..
+            JobSpec::Fleet(config) => {
+                let horizon = SimTime::ZERO + config.horizon;
+                (Fleet::new(*config), WorkerState::FleetRun { horizon })
             }
-            | JobSpec::E18Sweep {
+            JobSpec::Sweep {
+                flavor,
                 seed,
                 clients,
                 resolvers,
-                threads,
-                ..
             } => {
                 let mut config = {
                     let mut book = lock(&self.book);
-                    book.flavor = sweep_flavor;
-                    book.seed = seed;
-                    book.clients = clients;
-                    book.resolvers = resolvers;
-                    book.total = sweep_flavor.total_rows(resolvers);
-                    book.row = 0;
+                    *book = SweepBook {
+                        flavor,
+                        seed,
+                        clients,
+                        resolvers,
+                        total: flavor.total_rows(resolvers),
+                        ..SweepBook::default()
+                    };
                     book.row_config(0)
                 };
-                config.threads = threads;
-                let mut fleet = Fleet::new(config);
-                fleet.set_metrics(fleet_metrics.clone());
-                let progress = fleet.progress();
-                self.park(fleet);
-                *lock(&self.worker) = WorkerState::SweepRun;
-                self.set_state(JobState::Running, None);
-                self.publish_slice(progress);
-                StepOutcome::Again
+                config.threads = self.params().threads;
+                (Fleet::new(config), WorkerState::SweepRun)
             }
-            JobSpec::ResumeSweep {
-                ref bytes, threads, ..
-            } => {
-                let adopted = crate::sweep::decode(bytes)
-                    .map_err(|e| e.to_string())
-                    .and_then(|cursor| self.adopt_cursor(cursor, threads, fleet_metrics));
-                match adopted {
-                    Ok(running) => {
-                        if running {
-                            StepOutcome::Again
-                        } else {
-                            StepOutcome::Terminal
-                        }
-                    }
-                    Err(e) => {
-                        *lock(&self.worker) = WorkerState::Finished;
-                        self.set_state(
-                            JobState::Failed,
-                            Some(format!("sweep cursor rejected: {e}")),
-                        );
-                        StepOutcome::Terminal
-                    }
-                }
-            }
-            ref fleet_spec => match build_fleet(fleet_spec, fleet_metrics.clone()) {
-                Ok(fleet) => {
-                    let horizon = SimTime::ZERO + fleet.config().horizon;
-                    let progress = fleet.progress();
-                    self.park(fleet);
-                    *lock(&self.worker) = WorkerState::FleetRun { horizon };
-                    self.set_state(JobState::Running, None);
-                    self.publish_slice(progress);
-                    StepOutcome::Again
-                }
-                Err(message) => {
-                    *lock(&self.worker) = WorkerState::Finished;
-                    self.set_state(JobState::Failed, Some(message));
-                    StepOutcome::Terminal
-                }
-            },
-        }
+        };
+        fleet.set_metrics(fleet_metrics.clone());
+        let progress = fleet.progress();
+        self.park(fleet);
+        *lock(&self.worker) = worker;
+        self.set_state(JobState::Running, None);
+        self.publish_slice(progress);
+        StepOutcome::Again
     }
 
     /// Decide whether to pause at the current boundary. Returns `true`
@@ -1439,125 +1104,47 @@ impl Job {
         }
         self.set_state(JobState::Done, None);
     }
-
-    /// Install a decoded sweep cursor: restore completed-row reports and
-    /// the current row's fleet. Returns whether the job keeps running
-    /// (false when the cursor was already complete). Shared by the
-    /// `resume-sweep` build path and boot-time adoption.
-    fn adopt_cursor(
-        &self,
-        cursor: crate::sweep::SweepCursor,
-        threads: usize,
-        fleet_metrics: &Option<Arc<FleetMetrics>>,
-    ) -> Result<bool, String> {
-        let total = cursor.flavor.total_rows(cursor.resolvers);
-        if cursor.row > total || (cursor.row < total) != cursor.current.is_some() {
-            return Err("cursor row count inconsistent with payload".to_string());
-        }
-        let mut done_reports = Vec::with_capacity(cursor.done.len());
-        for (k, blob) in cursor.done.iter().enumerate() {
-            let restored = Fleet::restore(blob)
-                .map_err(|e| format!("completed row {k} checkpoint rejected: {e}"))?;
-            done_reports.push(restored.report());
-        }
-        {
-            let mut params = lock(&self.params);
-            params.threads = threads;
-        }
-        {
-            let mut book = lock(&self.book);
-            book.flavor = cursor.flavor;
-            book.seed = cursor.seed;
-            book.clients = cursor.clients;
-            book.resolvers = cursor.resolvers;
-            book.total = total;
-            book.row = cursor.row;
-            book.done_blobs = cursor.done.clone();
-            book.done_reports = done_reports;
-        }
-        *lock(&self.worker) = WorkerState::SweepRun;
-        match cursor.current {
-            Some(blob) => {
-                let mut fleet = Fleet::restore_with(&blob, fleet_metrics.clone())
-                    .map_err(|e| format!("current row checkpoint rejected: {e}"))?;
-                fleet.set_threads(threads);
-                let progress = fleet.progress();
-                self.park(fleet);
-                self.set_state(JobState::Running, None);
-                self.publish_slice(progress);
-                Ok(true)
-            }
-            None => {
-                self.finish_sweep();
-                Ok(false)
-            }
-        }
-    }
 }
 
-fn build_fleet(spec: &JobSpec, metrics: Option<Arc<FleetMetrics>>) -> Result<Fleet, String> {
-    match spec {
-        JobSpec::E16Fleet {
-            seed,
-            clients,
-            resolvers,
-            poisoned_resolvers,
-            threads,
-            ..
-        } => {
-            let mut config = e16_config(*seed, *clients, *resolvers, *poisoned_resolvers);
-            config.threads = *threads;
-            let mut fleet = Fleet::new(config);
-            fleet.set_metrics(metrics);
-            Ok(fleet)
-        }
-        JobSpec::E17Fleet {
-            seed,
-            clients,
-            resolvers,
-            loss,
-            outage_coverage,
-            threads,
-            ..
-        } => {
-            let mut config = e17_config(*seed, *clients, *resolvers, *loss, *outage_coverage);
-            config.threads = *threads;
-            let mut fleet = Fleet::new(config);
-            fleet.set_metrics(metrics);
-            Ok(fleet)
-        }
-        JobSpec::E18Fleet {
-            seed,
-            clients,
-            resolvers,
-            deployment,
-            poisoned_resolvers,
-            threads,
-            ..
-        } => {
-            let mut config = e18_config(
-                *seed,
-                *clients,
-                *resolvers,
-                *deployment,
-                *poisoned_resolvers,
-            );
-            config.threads = *threads;
-            let mut fleet = Fleet::new(config);
-            fleet.set_metrics(metrics);
-            Ok(fleet)
-        }
-        JobSpec::Resume { bytes, threads, .. } => {
-            let mut fleet = Fleet::restore_with(bytes, metrics)
-                .map_err(|e| format!("checkpoint rejected: {e}"))?;
-            fleet.set_threads(*threads);
-            Ok(fleet)
-        }
-        JobSpec::E16Sweep { .. }
-        | JobSpec::E18Sweep { .. }
-        | JobSpec::ResumeSweep { .. }
-        | JobSpec::PanicProbe { .. } => Err("not a fleet spec".to_string()),
+/// Restore every checkpoint a sweep cursor carries: the completed
+/// rows' reports and the current row's fleet (`None` once the grid is
+/// complete).
+fn restore_cursor(
+    cursor: SweepCursor,
+    fleet_metrics: Option<Arc<FleetMetrics>>,
+) -> Result<(SweepBook, Option<Fleet>), String> {
+    let total = cursor.flavor.total_rows(cursor.resolvers);
+    if cursor.row > total || (cursor.row < total) != cursor.current.is_some() {
+        return Err("cursor row count inconsistent with payload".to_string());
     }
+    let done_reports = cursor
+        .done
+        .iter()
+        .enumerate()
+        .map(|(k, blob)| {
+            Fleet::restore(blob)
+                .map(|fleet| fleet.report())
+                .map_err(|e| format!("completed row {k} checkpoint rejected: {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let current = cursor
+        .current
+        .map(|blob| {
+            Fleet::restore_with(&blob, fleet_metrics)
+                .map_err(|e| format!("current row checkpoint rejected: {e}"))
+        })
+        .transpose()?;
+    let book = SweepBook {
+        flavor: cursor.flavor,
+        seed: cursor.seed,
+        clients: cursor.clients,
+        resolvers: cursor.resolvers,
+        total,
+        row: cursor.row,
+        done_blobs: cursor.done,
+        done_reports,
+    };
+    Ok((book, current))
 }
 
 /// The run queue shared by the pool workers. Jobs enter at submit (and
@@ -1709,25 +1296,23 @@ impl JobTable {
         lock(&self.workers).len()
     }
 
-    /// Register a job under `name` and enqueue it on the worker pool.
-    /// Fails if the name is empty or already taken (stale terminal jobs
-    /// keep their name — pick a new one).
-    pub fn submit(&self, name: &str, spec: JobSpec) -> Result<Arc<Job>, String> {
-        let job = self.register(name, spec)?;
+    /// Register a parsed spec under `name` and enqueue it on the worker
+    /// pool. Fails if the name is empty or already taken (stale terminal
+    /// jobs keep their name — pick a new one).
+    pub fn submit(&self, name: &str, submission: Submission) -> Result<Arc<Job>, String> {
+        let Submission {
+            spec,
+            params,
+            normalized,
+        } = submission;
+        let kind = static_kind(normalized.get("kind").and_then(Json::as_str).unwrap_or(""));
+        let job = self.register(name, kind, normalized, params, WorkerState::Pending(spec))?;
         self.sched.enqueue(Arc::clone(&job));
         Ok(job)
     }
 
-    /// Create and register the job without enqueueing it (adoption paths
-    /// place restored jobs in non-queued states first).
-    fn register(&self, name: &str, spec: JobSpec) -> Result<Arc<Job>, String> {
-        let kind = spec.kind();
-        let spec_json = spec.to_json();
-        let params = spec.params();
-        self.register_raw(name, kind, spec_json, params, WorkerState::Pending(spec))
-    }
-
-    fn register_raw(
+    /// Create and register a job without enqueueing it.
+    fn register(
         &self,
         name: &str,
         kind: &'static str,
@@ -1772,11 +1357,12 @@ impl JobTable {
         Ok(job)
     }
 
-    /// Adopt a restored fleet job from the state dir: park the fleet,
-    /// install the manifest's lifecycle state and scheduling params, and
-    /// (for `running`) enqueue it. `spec_json` is the original submit
-    /// spec (re-recorded in the next manifest); `slices` restores the
-    /// watch cursor.
+    /// Adopt a restored fleet as job `name`: park it, install `state`
+    /// and the scheduling `params`, and enqueue it when `state` is
+    /// `queued` or `running` (it then reports `running`). Boot from the
+    /// state dir passes the manifest's state; the `resume` command
+    /// passes `queued`. `spec_json` is recorded in the next manifest;
+    /// `slices` restores the watch cursor.
     #[allow(clippy::too_many_arguments)]
     pub fn adopt_fleet(
         &self,
@@ -1784,38 +1370,27 @@ impl JobTable {
         kind_label: &str,
         spec_json: Json,
         params: Params,
-        mut fleet: Fleet,
+        fleet: Fleet,
         state: JobState,
         slices: u64,
     ) -> Result<Arc<Job>, String> {
-        fleet.set_threads(params.threads);
-        if let Some(o) = &self.obs {
-            fleet.set_metrics(Some(Arc::clone(&o.fleet)));
-        }
         let horizon = SimTime::ZERO + fleet.config().horizon;
-        let progress = fleet.progress();
-        let worker = if state.is_terminal() {
-            WorkerState::Finished
-        } else {
-            WorkerState::FleetRun { horizon }
-        };
-        let job = self.register_raw(name, static_kind(kind_label), spec_json, params, worker)?;
-        job.park(fleet);
-        let run = state == JobState::Running || state == JobState::Queued;
-        {
-            let mut status = lock(&job.status);
-            status.state = if run { JobState::Running } else { state };
-            status.progress = Some(progress);
-            status.slices = slices;
-        }
-        job.status_cv.notify_all();
-        if run {
-            self.sched.enqueue(Arc::clone(&job));
-        }
+        let job = self.register(
+            name,
+            static_kind(kind_label),
+            spec_json,
+            params,
+            WorkerState::FleetRun { horizon },
+        )?;
+        self.install(&job, fleet, state, slices);
         Ok(job)
     }
 
-    /// Adopt a restored sweep job from its decoded `SWP1` cursor.
+    /// Adopt a decoded `SWP1` cursor as sweep job `name`, with the same
+    /// state handling as [`JobTable::adopt_fleet`]. Every embedded
+    /// checkpoint is restored before the name is registered, so a
+    /// rejected cursor leaves no job behind. A complete cursor adopts as
+    /// `done`.
     #[allow(clippy::too_many_arguments)]
     pub fn adopt_sweep(
         &self,
@@ -1823,39 +1398,55 @@ impl JobTable {
         kind_label: &str,
         spec_json: Json,
         params: Params,
-        cursor: crate::sweep::SweepCursor,
+        cursor: SweepCursor,
         state: JobState,
         slices: u64,
     ) -> Result<Arc<Job>, String> {
-        let job = self.register_raw(
+        let fleet_metrics = self.obs.as_ref().map(|o| Arc::clone(&o.fleet));
+        let (book, current) = restore_cursor(cursor, fleet_metrics)
+            .map_err(|e| format!("sweep cursor rejected: {e}"))?;
+        let job = self.register(
             name,
             static_kind(kind_label),
             spec_json,
             params,
-            WorkerState::Finished, // adopt_cursor installs the real state
+            WorkerState::SweepRun,
         )?;
-        let fleet_metrics = self.obs.as_ref().map(|o| Arc::clone(&o.fleet));
-        let still_running = job
-            .adopt_cursor(cursor, params.threads, &fleet_metrics)
-            .map_err(|e| format!("sweep cursor rejected: {e}"))?;
-        {
-            let mut status = lock(&job.status);
-            status.slices = status.slices.max(slices);
-            // adopt_cursor set Running (live cursor) or Done (complete);
-            // override with the manifest state for paused/stopped.
-            if still_running && state != JobState::Running && state != JobState::Queued {
-                status.state = state;
-            }
-        }
-        job.status_cv.notify_all();
-        if still_running {
-            if state.is_terminal() {
-                *lock(&job.worker) = WorkerState::Finished;
-            } else if state == JobState::Running || state == JobState::Queued {
-                self.sched.enqueue(Arc::clone(&job));
+        *lock(&job.book) = book;
+        match current {
+            Some(fleet) => self.install(&job, fleet, state, slices),
+            None => {
+                lock(&job.status).slices = slices;
+                job.finish_sweep();
             }
         }
         Ok(job)
+    }
+
+    /// Park an adopted job's fleet and install its lifecycle state.
+    fn install(&self, job: &Arc<Job>, mut fleet: Fleet, state: JobState, slices: u64) {
+        fleet.set_threads(job.params().threads);
+        if let Some(o) = &self.obs {
+            fleet.set_metrics(Some(Arc::clone(&o.fleet)));
+        }
+        let progress = fleet.progress();
+        job.park(fleet);
+        if state.is_terminal() {
+            *lock(&job.worker) = WorkerState::Finished;
+        }
+        let run = matches!(state, JobState::Queued | JobState::Running);
+        {
+            let book = lock(&job.book);
+            let mut status = lock(&job.status);
+            status.state = if run { JobState::Running } else { state };
+            status.progress = Some(progress);
+            status.slices = slices;
+            status.sweep_rows = (book.total > 0).then_some((book.row, book.total));
+        }
+        job.status_cv.notify_all();
+        if run {
+            self.sched.enqueue(Arc::clone(job));
+        }
     }
 
     /// Adopt a job as failed without any simulation state (corrupt or
@@ -1867,17 +1458,11 @@ impl JobTable {
         spec_json: Json,
         error: String,
     ) -> Result<Arc<Job>, String> {
-        let params = Params {
-            threads: 1,
-            slice_s: DEFAULT_SLICE_S,
-            pause_at_s: None,
-            pause_at_row: None,
-        };
-        let job = self.register_raw(
+        let job = self.register(
             name,
             static_kind(kind_label),
             spec_json,
-            params,
+            Params::default(),
             WorkerState::Finished,
         )?;
         job.set_state(JobState::Failed, Some(error));
@@ -1945,16 +1530,22 @@ impl JobTable {
 mod tests {
     use super::*;
 
-    fn small_spec(pause_at_s: Option<u64>) -> JobSpec {
-        JobSpec::E16Fleet {
-            seed: 7,
-            clients: 24,
-            resolvers: 2,
-            poisoned_resolvers: 1,
-            threads: 1,
-            slice_s: 500,
-            pause_at_s,
-        }
+    fn parse(spec: &str) -> Submission {
+        JobSpec::from_json(&Json::parse(spec).expect("spec literal")).expect("spec parses")
+    }
+
+    fn small_spec(pause_at_s: Option<u64>) -> Submission {
+        let pause = pause_at_s.map_or(String::new(), |p| format!(r#","pause_at_s":{p}"#));
+        parse(&format!(
+            r#"{{"kind":"e16-fleet","seed":7,"clients":24,"resolvers":2,"poisoned_resolvers":1,"slice_s":500{pause}}}"#
+        ))
+    }
+
+    fn small_sweep(kind: &str, pause_at_row: Option<usize>) -> Submission {
+        let pause = pause_at_row.map_or(String::new(), |r| format!(r#","pause_at_row":{r}"#));
+        parse(&format!(
+            r#"{{"kind":"{kind}","seed":7,"clients":16,"resolvers":2,"slice_s":2000{pause}}}"#
+        ))
     }
 
     fn wait_for(job: &Job, state: JobState) -> JobSnapshot {
@@ -2007,17 +1598,23 @@ mod tests {
         assert!(mid.end < netsim::time::SimTime::from_secs(6_000), "mid-run");
         job.request_stop();
 
+        // The `resume` path: adopt the restored fleet as a queued job.
         let resumed = table
-            .submit(
+            .adopt_fleet(
                 "second-leg",
-                JobSpec::Resume {
-                    bytes,
+                "resume",
+                resume_spec("resume"),
+                Params {
                     threads: 2,
                     slice_s: 500,
-                    pause_at_s: None,
+                    ..Params::default()
                 },
+                Fleet::restore(&bytes).unwrap(),
+                JobState::Queued,
+                0,
             )
             .unwrap();
+        assert_eq!(resumed.kind, "resume");
         wait_for(&resumed, JobState::Done);
         let resumed_report = resumed.report(Duration::from_secs(5)).unwrap();
         let batch = Fleet::new(e16_config(7, 24, 2, 1)).run();
@@ -2041,33 +1638,46 @@ mod tests {
 
     #[test]
     fn bad_specs_and_bad_checkpoints_are_rejected() {
-        assert!(JobSpec::from_json(&Json::parse(r#"{"kind":"nope"}"#).unwrap()).is_err());
-        assert!(JobSpec::from_json(
-            &Json::parse(r#"{"kind":"e16-fleet","resolvers":2,"poisoned_resolvers":3}"#).unwrap()
-        )
-        .is_err());
-        let table = JobTable::with_workers(1);
-        let job = table
-            .submit(
-                "corrupt",
-                JobSpec::Resume {
-                    bytes: b"junk".to_vec(),
-                    threads: 1,
-                    slice_s: 60,
-                    pause_at_s: None,
-                },
-            )
-            .unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        loop {
-            let snap = job.snapshot();
-            if snap.state == JobState::Failed {
-                assert!(snap.error.unwrap().contains("checkpoint rejected"));
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "timed out");
-            std::thread::sleep(Duration::from_millis(10));
+        for bad in [
+            r#"{"kind":"nope"}"#,
+            r#"{"seed":7}"#,
+            r#"{"kind":"e16-fleet","resolvers":2,"poisoned_resolvers":3}"#,
+            r#"{"kind":"e17-fleet","resolvers":2,"outage_coverage":3}"#,
+            r#"{"kind":"e18-fleet","deployment":1.5}"#,
+            r#"{"kind":"e16-sweep","threads":"two"}"#,
+            r#"{"kind":"e16-fleet","pause_at_s":-1}"#,
+        ] {
+            let spec = Json::parse(bad).expect("spec literal");
+            assert!(JobSpec::from_json(&spec).is_err(), "{bad} should fail");
         }
+        // A cursor whose current-row checkpoint is junk is refused before
+        // its name is registered.
+        let table = JobTable::with_workers(1);
+        let cursor = SweepCursor {
+            flavor: SweepFlavor::E16,
+            seed: 7,
+            clients: 16,
+            resolvers: 2,
+            row: 0,
+            done: Vec::new(),
+            current: Some(b"junk".to_vec()),
+        };
+        let err = table
+            .adopt_sweep(
+                "corrupt",
+                "resume-sweep",
+                resume_spec("resume-sweep"),
+                Params::default(),
+                cursor,
+                JobState::Queued,
+                0,
+            )
+            .unwrap_err();
+        assert!(
+            err.contains("checkpoint rejected"),
+            "unexpected error: {err}"
+        );
+        assert!(table.get("corrupt").is_none());
         table.stop_all_and_join();
     }
 
@@ -2079,9 +1689,7 @@ mod tests {
         let probe = table
             .submit(
                 "probe",
-                JobSpec::PanicProbe {
-                    message: "deliberate test panic".to_string(),
-                },
+                parse(r#"{"kind":"panic-probe","message":"deliberate test panic"}"#),
             )
             .unwrap();
         let fleet = table.submit("survivor", small_spec(None)).unwrap();
@@ -2110,17 +1718,7 @@ mod tests {
     fn sweep_job_matches_run_e16_rows_and_series() {
         let table = JobTable::with_workers(2);
         let job = table
-            .submit(
-                "sweep",
-                JobSpec::E16Sweep {
-                    seed: 7,
-                    clients: 16,
-                    resolvers: 2,
-                    threads: 1,
-                    slice_s: 2_000,
-                    pause_at_row: None,
-                },
-            )
+            .submit("sweep", small_sweep("e16-sweep", None))
             .unwrap();
         let snap = wait_for(&job, JobState::Done);
         assert_eq!(snap.sweep_rows, Some((3, 3)));
@@ -2137,17 +1735,7 @@ mod tests {
     fn sweep_pause_cursor_resume_is_byte_identical() {
         let table = JobTable::with_workers(2);
         let job = table
-            .submit(
-                "sweep-a",
-                JobSpec::E16Sweep {
-                    seed: 7,
-                    clients: 16,
-                    resolvers: 2,
-                    threads: 1,
-                    slice_s: 2_000,
-                    pause_at_row: Some(1),
-                },
-            )
+            .submit("sweep-a", small_sweep("e16-sweep", Some(1)))
             .unwrap();
         wait_for(&job, JobState::Paused);
         let snap = job.snapshot();
@@ -2157,17 +1745,24 @@ mod tests {
         let cursor = job.sweep_cursor(Duration::from_secs(5)).unwrap();
         job.request_stop();
 
+        // The `resume` path: adopt the decoded cursor as a queued job.
         let resumed = table
-            .submit(
+            .adopt_sweep(
                 "sweep-b",
-                JobSpec::ResumeSweep {
-                    bytes: cursor,
+                "resume-sweep",
+                resume_spec("resume-sweep"),
+                Params {
                     threads: 2,
                     slice_s: 1_000,
-                    pause_at_row: None,
+                    ..Params::default()
                 },
+                crate::sweep::decode(&cursor).unwrap(),
+                JobState::Queued,
+                0,
             )
             .unwrap();
+        assert!(resumed.is_sweep());
+        assert_eq!(resumed.snapshot().sweep_rows, Some((1, 3)));
         wait_for(&resumed, JobState::Done);
         let SweepOutcome::E16(result) = resumed.sweep_result().expect("sweep result") else {
             panic!("resumed e16 sweep produced a non-e16 outcome");
@@ -2182,17 +1777,7 @@ mod tests {
     fn e18_sweep_job_matches_run_e18_rows_and_series() {
         let table = JobTable::with_workers(2);
         let job = table
-            .submit(
-                "e18-sweep",
-                JobSpec::E18Sweep {
-                    seed: 7,
-                    clients: 16,
-                    resolvers: 2,
-                    threads: 1,
-                    slice_s: 2_000,
-                    pause_at_row: None,
-                },
-            )
+            .submit("e18-sweep", small_sweep("e18-sweep", None))
             .unwrap();
         let snap = wait_for(&job, JobState::Done);
         let total = e18_grid(2).len();
@@ -2242,47 +1827,55 @@ mod tests {
 
     #[test]
     fn spec_json_round_trips() {
-        for spec in [
-            small_spec(Some(9)),
-            JobSpec::E16Sweep {
-                seed: 3,
-                clients: 10,
-                resolvers: 2,
-                threads: 2,
-                slice_s: 100,
-                pause_at_row: Some(1),
-            },
-            JobSpec::E18Fleet {
-                seed: 11,
-                clients: 48,
-                resolvers: 4,
-                deployment: 0.75,
-                poisoned_resolvers: 2,
-                threads: 2,
-                slice_s: 250,
-                pause_at_s: Some(500),
-            },
-            JobSpec::E18Sweep {
-                seed: 5,
-                clients: 12,
-                resolvers: 3,
-                threads: 1,
-                slice_s: 400,
-                pause_at_row: Some(2),
-            },
-            JobSpec::Resume {
-                bytes: vec![1, 2, 0xfe],
-                threads: 2,
-                slice_s: 60,
-                pause_at_s: None,
-            },
-            JobSpec::PanicProbe {
-                message: "boom".to_string(),
-            },
+        // Every wire kind, each with a key it does not read: parsing the
+        // normalized spec again is a fixed point, and stray keys are gone.
+        for (text, stray) in [
+            (
+                r#"{"kind":"e16-fleet","seed":3,"clients":24,"resolvers":2,"poisoned_resolvers":1,"threads":2,"slice_s":500,"pause_at_s":9,"junk":true}"#,
+                "junk",
+            ),
+            (r#"{"kind":"e16-fleet","pause_at_row":2}"#, "pause_at_row"),
+            (
+                r#"{"kind":"e17-fleet","clients":48,"loss":0.2,"outage_coverage":3,"deployment":0.5}"#,
+                "deployment",
+            ),
+            (
+                r#"{"kind":"e18-fleet","deployment":0.75,"poisoned_resolvers":2,"threads":0,"loss":0.1}"#,
+                "loss",
+            ),
+            (
+                r#"{"kind":"e16-sweep","seed":3,"clients":10,"resolvers":2,"threads":2,"slice_s":100,"pause_at_row":1,"pause_at_s":5}"#,
+                "pause_at_s",
+            ),
+            (
+                r#"{"kind":"e18-sweep","resolvers":3,"pause_at_row":null,"poisoned_resolvers":1}"#,
+                "poisoned_resolvers",
+            ),
+            (
+                r#"{"kind":"panic-probe","message":"boom","threads":4}"#,
+                "threads",
+            ),
         ] {
-            let json = spec.to_json();
-            let reparsed = JobSpec::from_json(&json).expect("round trip parses");
-            assert_eq!(format!("{spec:?}"), format!("{reparsed:?}"));
+            let first = parse(text);
+            let again = JobSpec::from_json(&first.normalized).expect("normalized spec parses");
+            assert_eq!(again, first, "{text}");
+            assert!(first.normalized.get(stray).is_none(), "{text} kept {stray}");
         }
+        // Presets resolve once, with every default filled in.
+        let e17 = parse(r#"{"kind":"e17-fleet"}"#);
+        assert_eq!(
+            e17.spec,
+            JobSpec::Fleet(Box::new(e17_config(7, 1_000, 8, 0.05, 0)))
+        );
+        assert_eq!(e17.params, Params::default());
+        assert_eq!(
+            e17.normalized.render(),
+            r#"{"kind":"e17-fleet","seed":7,"clients":1000,"resolvers":8,"loss":0.05,"outage_coverage":0,"threads":1,"slice_s":60}"#
+        );
+        let e18 = parse(r#"{"kind":"e18-fleet","threads":3,"pause_at_s":900}"#);
+        let mut config = e18_config(7, 1_000, 4, 0.5, 4);
+        config.threads = 3;
+        assert_eq!(e18.spec, JobSpec::Fleet(Box::new(config)));
+        assert_eq!(e18.params.pause_at_s, Some(900));
     }
 }

@@ -1,7 +1,7 @@
 //! A small self-contained JSON value type with a writer and a parser.
 //!
-//! The vendored `serde` stub is a no-op (see `crates/compat/serde`), so the
-//! daemon's wire protocol is hand-rolled: requests and responses are
+//! The workspace carries no serialization framework, so the daemon's
+//! wire protocol is hand-rolled: requests and responses are
 //! [`Json`] trees rendered to **compact single-line** text (the protocol is
 //! newline-delimited) and parsed back with a recursive-descent reader.
 //!

@@ -21,8 +21,8 @@
 //! shards), so comparisons must hold `shard_size` fixed — see
 //! `docs/OPERATIONS.md`.
 //!
-//! Module map: [`json`] (hand-rolled wire format; the vendored serde is a
-//! no-op), [`render`] (canonical report/progress JSON), [`jobs`] (the job
+//! Module map: [`json`] (hand-rolled wire format; the workspace has no
+//! serde), [`render`] (canonical report/progress JSON), [`jobs`] (the job
 //! table and the fair-slicing worker pool), [`daemon`] (the socket
 //! server), [`client`] (the client used by `chronosctl`, the
 //! `service_mode` example and the smoke tests), [`metrics`] (the
@@ -45,7 +45,7 @@ pub mod sweep;
 
 pub use client::{Client, ClientError};
 pub use daemon::{Daemon, DaemonConfig, PROTOCOL_VERSION};
-pub use jobs::{Job, JobSnapshot, JobSpec, JobState, JobTable, SweepOutcome};
+pub use jobs::{Job, JobSnapshot, JobSpec, JobState, JobTable, Submission, SweepOutcome};
 pub use json::Json;
 pub use metrics::{DaemonObs, JobMetrics, LOG_ENV};
 pub use state::StateDir;

@@ -74,9 +74,9 @@ pub struct ManifestEntry {
     pub slices: u64,
     /// Filename under `jobs/` holding the simulation bytes, if any.
     pub file: Option<String>,
-    /// The original submit spec (round-trips through
-    /// [`crate::jobs::JobSpec::from_json`]); jobs with no simulation
-    /// bytes yet are resubmitted from it.
+    /// The normalized submit spec ([`crate::jobs::Submission::normalized`];
+    /// just the kind for resumed jobs). Jobs with no simulation bytes yet
+    /// are resubmitted from it.
     pub spec: Json,
 }
 

@@ -6,14 +6,19 @@
 //! cursors), across *different* thread counts on the two legs. A third
 //! test covers the clean-shutdown path: jobs still running when the
 //! daemon exits are recorded as running and auto-resume on the next
-//! boot with no operator involvement.
+//! boot with no operator involvement. A fourth covers the manifest rows
+//! that carry no simulation of their own: a still-queued job resubmits
+//! from its normalized spec, and a resumed job reboots from its state
+//! file alone.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use chronosd::jobs::Params;
 use chronosd::json::Json;
 use chronosd::render::{report_json, sweep_json};
-use chronosd::{Client, Daemon, DaemonConfig, DaemonObs};
+use chronosd::state::ManifestEntry;
+use chronosd::{Client, Daemon, DaemonConfig, DaemonObs, JobSpec, JobState, StateDir};
 
 const SEED: u64 = 7;
 const CLIENTS: usize = 24;
@@ -277,4 +282,125 @@ fn running_jobs_auto_resume_after_a_clean_shutdown() {
     assert_eq!(daemon_line, report_json(&row.report).render());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn queued_and_resumed_entries_reboot_from_their_manifest_rows() {
+    let socket_a = scratch("rows-a.sock");
+    let socket_b = scratch("rows-b.sock");
+    let dir = scratch("rows-state");
+    let ckpt = scratch("rows.ckpt");
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = format!(
+        r#"{{"kind":"e16-fleet","seed":{SEED},"clients":{CLIENTS},"resolvers":{RESOLVERS},"poisoned_resolvers":{POISONED},"slice_s":500,"pause_at_s":1500}}"#
+    );
+
+    // Leg one: checkpoint a paused job to a file and resume it as a new
+    // job that pauses again at 3000 s.
+    let (first, mut client) = boot(&socket_a, &dir, None);
+    submit(&mut client, "leg", &spec);
+    client
+        .wait_for_state("leg", "paused", Duration::from_secs(120))
+        .expect("job pauses at its anchor");
+    let name = |n: &str| ("name".to_string(), Json::str(n));
+    client
+        .request(
+            "checkpoint",
+            vec![
+                name("leg"),
+                ("path".into(), Json::str(ckpt.display().to_string())),
+            ],
+        )
+        .expect("checkpoint to file");
+    client
+        .request(
+            "resume",
+            vec![
+                name("resumed"),
+                ("path".into(), Json::str(ckpt.display().to_string())),
+                ("pause_at_s".into(), Json::u64(3_000)),
+            ],
+        )
+        .expect("resume");
+    client
+        .wait_for_state("resumed", "paused", Duration::from_secs(120))
+        .expect("resumed job pauses at its anchor");
+    client.request("sync", Vec::new()).expect("sync");
+    client.request("shutdown", Vec::new()).expect("shutdown");
+    first.join().expect("first daemon exits");
+
+    // The resumed job's manifest row names its state file and carries no
+    // checkpoint bytes.
+    let state = StateDir::open(&dir).expect("state dir");
+    let mut entries = state
+        .read_manifest()
+        .expect("manifest readable")
+        .expect("manifest written")
+        .expect("manifest decodes");
+    let resumed = entries
+        .iter_mut()
+        .find(|e| e.name == "resumed")
+        .expect("resumed entry");
+    assert_eq!(resumed.spec.render(), r#"{"kind":"resume"}"#);
+    assert!(resumed.file.is_some(), "resumed job has a state file");
+    // Emulate a state dir written before resume adoption, whose resume
+    // rows also held the checkpoint as hex, and add a job that was still
+    // queued (no state file yet) when the snapshot was taken.
+    resumed.spec = Json::parse(r#"{"kind":"resume","bytes_hex":"00ff","threads":1}"#).unwrap();
+    let queued = ManifestEntry {
+        name: "queued".to_string(),
+        kind: "e16-fleet".to_string(),
+        state: JobState::Queued,
+        error: None,
+        params: Params::default(),
+        slices: 0,
+        file: None,
+        spec: JobSpec::from_json(&Json::parse(&spec).unwrap())
+            .expect("spec parses")
+            .normalized,
+    };
+    entries.push(queued);
+    state.write_manifest(&entries).expect("rewrite manifest");
+
+    // Leg two: the queued row is resubmitted from its normalized spec,
+    // the resumed row is adopted from its state file; both finish with
+    // the batch runner's report.
+    let (second, mut client) = boot(&socket_b, &dir, Some(2));
+    client
+        .request("unpause", vec![name("resumed")])
+        .expect("unpause");
+    client
+        .request("unpause", vec![name("queued")])
+        .expect("unpause");
+    let sweep = chronos_pitfalls::experiments::run_e16(SEED, CLIENTS, RESOLVERS, 2);
+    let row = sweep
+        .rows
+        .iter()
+        .find(|row| row.poisoned_resolvers == POISONED)
+        .expect("sweep row for k");
+    for job in ["queued", "resumed"] {
+        client
+            .wait_for_state(job, "done", Duration::from_secs(300))
+            .expect("rebooted job finishes");
+        let done = client.request("report", vec![name(job)]).expect("report");
+        let daemon_line = done.get("report").expect("report payload").render();
+        assert_eq!(daemon_line, report_json(&row.report).render(), "{job}");
+    }
+    client.request("sync", Vec::new()).expect("sync");
+    client.request("shutdown", Vec::new()).expect("shutdown");
+    second.join().expect("second daemon exits");
+    let entries = state
+        .read_manifest()
+        .expect("manifest readable")
+        .expect("manifest written")
+        .expect("manifest decodes");
+    let resumed = entries.iter().find(|e| e.name == "resumed").unwrap();
+    assert_eq!(
+        resumed.spec.render(),
+        r#"{"kind":"resume"}"#,
+        "hex copy dropped"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&ckpt);
 }

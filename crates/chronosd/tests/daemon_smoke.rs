@@ -3,14 +3,22 @@
 //! mid-run, pause, checkpoint to a file, shut the daemon down, boot a
 //! **fresh** daemon, resume from the file, and assert the final report
 //! is byte-identical to the batch `run_e16` output for the same
-//! parameters.
+//! parameters. The other cases pin the failure paths a client can reach:
+//! protocol errors, checkpoint files that do not decode, and over-long
+//! request lines.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use chronos_pitfalls::experiments::e16_config;
+use chronosd::daemon::MAX_REQUEST_BYTES;
 use chronosd::json::Json;
 use chronosd::render::report_json;
 use chronosd::{Client, Daemon};
+use fleet::Fleet;
+use netsim::time::SimTime;
 
 const SEED: u64 = 7;
 const CLIENTS: usize = 24;
@@ -150,7 +158,7 @@ fn checkpoint_resume_across_daemon_processes_matches_batch() {
     // Fresh daemon process (new Daemon, new JobTable): resume and finish.
     let second = boot(&socket);
     let mut client = Client::connect(&socket).expect("reconnect");
-    client
+    let resumed = client
         .request(
             "resume",
             vec![
@@ -161,6 +169,14 @@ fn checkpoint_resume_across_daemon_processes_matches_batch() {
             ],
         )
         .expect("resume from checkpoint file");
+    // The checkpoint is adopted by the request itself: the job is
+    // already in the run queue when the response arrives.
+    assert_eq!(resumed.get("kind").and_then(Json::as_str), Some("resume"));
+    let state = resumed.get("state").and_then(Json::as_str);
+    assert!(
+        matches!(state, Some("running" | "done")),
+        "resume response state {state:?}"
+    );
     client
         .wait_for_state("smoke-resumed", "done", Duration::from_secs(300))
         .expect("resumed job finishes");
@@ -223,6 +239,120 @@ fn protocol_errors_are_reported_not_fatal() {
         .find(|s| s.name == "chronosd_protocol_errors_total")
         .expect("protocol-error counter");
     assert!(errors.value >= 1.0, "unknown cmd not counted");
+
+    client.request("shutdown", Vec::new()).expect("shutdown");
+    handle.join().expect("daemon exits");
+}
+
+/// A `CHR1` checkpoint of a one-shard fleet whose due-list count is
+/// forged to `0xFFFF_FFFF` and re-checksummed: intact up to the count,
+/// which then claims ~16 GiB of entries.
+fn forged_due_count_checkpoint() -> Vec<u8> {
+    let mut fleet = Fleet::new(e16_config(SEED, CLIENTS, RESOLVERS, POISONED));
+    fleet.run_until(SimTime::from_secs(1_500));
+    let mut bytes = fleet.checkpoint();
+    // After the config: now_ns u64 and the shard count u32; then the
+    // shard: first_global u64, row count u32, one 154-byte row per
+    // client, the trajectory list, and the due count.
+    let mut header = fleet.now().as_nanos().to_le_bytes().to_vec();
+    header.extend(1u32.to_le_bytes());
+    header.extend(0u64.to_le_bytes());
+    header.extend((CLIENTS as u32).to_le_bytes());
+    let mut at = bytes
+        .windows(header.len())
+        .position(|w| w == header)
+        .expect("shard header")
+        + header.len()
+        + CLIENTS * 154;
+    let u32_at =
+        |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let traces = u32_at(&bytes, at) as usize;
+    at += 4;
+    for client in 0..traces {
+        at += 4 + 16 * fleet.trace(client).len();
+    }
+    assert!(u32_at(&bytes, at) as usize <= CLIENTS, "due count located");
+    bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = fleet::checkpoint::checksum(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn undecodable_checkpoints_are_rejected_synchronously() {
+    let socket = scratch("bad-ckpt.sock");
+    let junk = scratch("junk.ckpt");
+    let forged = scratch("forged.ckpt");
+    std::fs::write(&junk, b"junk").expect("write junk");
+    let forged_bytes = forged_due_count_checkpoint();
+    assert!(
+        Fleet::restore(&forged_bytes).is_err(),
+        "forged count restores"
+    );
+    std::fs::write(&forged, &forged_bytes).expect("write forged");
+
+    let handle = boot(&socket);
+    let mut client = Client::connect(&socket).expect("connect");
+    for (name, path) in [("from-junk", &junk), ("from-forged", &forged)] {
+        let request = Json::Obj(vec![
+            ("cmd".into(), Json::str("resume")),
+            ("name".into(), Json::str(name)),
+            ("path".into(), Json::str(path.display().to_string())),
+        ]);
+        let error = client.request_raw(&request).expect_err("resume must fail");
+        assert!(
+            error.to_string().contains("checkpoint rejected"),
+            "{name}: {error}"
+        );
+        // No job was registered under the name.
+        assert!(client
+            .request("status", vec![("name".into(), Json::str(name))])
+            .is_err());
+    }
+    let pong = client.request("ping", Vec::new()).expect("still alive");
+    assert_eq!(pong.get("jobs").and_then(Json::as_u64), Some(0));
+
+    client.request("shutdown", Vec::new()).expect("shutdown");
+    handle.join().expect("daemon exits");
+    let _ = std::fs::remove_file(&junk);
+    let _ = std::fs::remove_file(&forged);
+}
+
+#[test]
+fn over_long_request_line_is_refused_and_closed() {
+    let socket = scratch("long.sock");
+    let handle = boot(&socket);
+
+    // One byte past the limit, no newline in sight.
+    let mut raw = UnixStream::connect(&socket).expect("raw connection");
+    raw.write_all(&vec![b' '; MAX_REQUEST_BYTES + 1])
+        .expect("daemon reads up to the limit");
+    let mut reader = BufReader::new(raw);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error response");
+    let response = Json::parse(line.trim_end()).expect("response is JSON");
+    assert_eq!(response.get("ok"), Some(&Json::Bool(false)));
+    let error = response.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("exceeds"), "unexpected error: {error}");
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("connection closed");
+    assert!(rest.is_empty(), "daemon kept talking after the refusal");
+
+    // The daemon still serves, and counted the refusal.
+    let mut client = Client::connect(&socket).expect("connect");
+    client.request("ping", Vec::new()).expect("still alive");
+    let scraped = client.request("metrics", Vec::new()).expect("metrics");
+    let text = scraped
+        .get("metrics")
+        .and_then(Json::as_str)
+        .expect("metrics payload");
+    let errors = obs::expo::parse(text)
+        .expect("exposition parses")
+        .into_iter()
+        .find(|s| s.name == "chronosd_protocol_errors_total")
+        .expect("protocol-error counter");
+    assert_eq!(errors.value, 1.0);
 
     client.request("shutdown", Vec::new()).expect("shutdown");
     handle.join().expect("daemon exits");

@@ -21,7 +21,6 @@ use dnslab::name::Name;
 use netsim::rng::SimRng;
 use netsim::stack::IpIdPolicy;
 use netsim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A compressed Chronos configuration for packet-level experiments: the
 /// full 24-round structure at `interval` spacing (instead of hourly), so
@@ -44,7 +43,7 @@ pub fn compressed_chronos(rounds: usize, interval: SimDuration) -> ChronosConfig
 // ---------------------------------------------------------------------
 
 /// Which poisoning mechanism E1 exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum E1Strategy {
     /// Packet-level defragmentation poisoning (glue rewrite).
     Fragmentation,
@@ -56,7 +55,7 @@ pub enum E1Strategy {
 }
 
 /// One pool-generation round of the timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E1RoundRow {
     /// 1-based round.
     pub round: usize,
@@ -75,7 +74,7 @@ pub struct E1RoundRow {
 }
 
 /// Result of the E1 timeline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E1Result {
     /// Per-round timeline (Figure 1's data).
     pub rows: Vec<E1RoundRow>,
@@ -192,7 +191,7 @@ impl E1Result {
 // ---------------------------------------------------------------------
 
 /// Result of the E2 analytic sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E2Result {
     /// One row per poisoning round.
     pub rows: Vec<PoolCompositionRow>,
@@ -239,7 +238,7 @@ impl E2Result {
 // ---------------------------------------------------------------------
 
 /// One capacity measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E3Row {
     /// Path MTU.
     pub mtu: u16,
@@ -299,7 +298,7 @@ pub fn e3_table(rows: &[E3Row]) -> Table {
 // ---------------------------------------------------------------------
 
 /// One E4 row: closed form plus Monte-Carlo cross-check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E4Row {
     /// The analytic comparison.
     pub analytic: SuccessRow,
@@ -357,7 +356,7 @@ pub fn e4_table(rows: &[E4Row]) -> Table {
 // ---------------------------------------------------------------------
 
 /// One E5 row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E5Row {
     /// Attacker's pool fraction.
     pub fraction: f64,
@@ -510,7 +509,7 @@ pub fn e5_figure(
 // ---------------------------------------------------------------------
 
 /// One population-attack variant of E14.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E14Row {
     /// Variant label.
     pub label: String,
@@ -519,7 +518,7 @@ pub struct E14Row {
 }
 
 /// Result of the E14 population sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E14Result {
     /// One row per attack variant.
     pub rows: Vec<E14Row>,
@@ -675,7 +674,7 @@ pub fn e14_table(result: &E14Result) -> Table {
 
 /// One point of the E16 sweep: the fleet outcome with the attacker in
 /// `poisoned_resolvers` of the resolver caches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E16Row {
     /// Resolvers the attacker poisoned (`0..=resolvers`).
     pub poisoned_resolvers: usize,
@@ -686,7 +685,7 @@ pub struct E16Row {
 }
 
 /// Result of the E16 partial-poisoning sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E16Result {
     /// Independent resolver caches in every fleet.
     pub resolvers: usize,
@@ -892,7 +891,7 @@ pub const E17_LOSSES: [f64; 5] = [0.0, 0.001, 0.01, 0.05, 0.15];
 
 /// One point of the E17 grid: the mixed fleet under `loss` with the
 /// first `outage_coverage` resolvers down for the boot window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E17Row {
     /// NTP sample-loss = DNS SERVFAIL probability for every tier.
     pub loss: f64,
@@ -903,7 +902,7 @@ pub struct E17Row {
 }
 
 /// Result of the E17 loss × outage-coverage sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E17Result {
     /// Independent resolver caches in every fleet.
     pub resolvers: usize,
@@ -1091,7 +1090,7 @@ pub const E18_DEPLOYMENTS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
 /// One point of the E18 grid: the partially-secure fleet with the
 /// attacker in `poisoned_resolvers` caches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E18Row {
     /// Fraction of the population on secure-time tiers (NTS + Roughtime).
     pub deployment: f64,
@@ -1104,7 +1103,7 @@ pub struct E18Row {
 }
 
 /// Result of the E18 deployment × poisoning sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E18Result {
     /// Independent resolver caches in every fleet.
     pub resolvers: usize,
@@ -1370,7 +1369,7 @@ pub fn e18_table(result: &E18Result) -> Table {
 // ---------------------------------------------------------------------
 
 /// Result of the E7 study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E7Result {
     /// What our scan of the synthetic population measured.
     pub measured: StudyFindings,
@@ -1425,7 +1424,7 @@ impl E7Result {
 // ---------------------------------------------------------------------
 
 /// The §V mitigation variants under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum E8Variant {
     /// No attack at all (control).
     NoAttack,
@@ -1469,7 +1468,7 @@ impl E8Variant {
 }
 
 /// One E8 outcome row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E8Row {
     /// The variant.
     pub variant: E8Variant,
@@ -1583,7 +1582,7 @@ pub fn e8_table(rows: &[E8Row]) -> Table {
 // ---------------------------------------------------------------------
 
 /// One E9 configuration and its outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E9Row {
     /// The nameserver's IP-ID allocation policy.
     pub ip_id_policy: IpIdPolicy,
@@ -1670,7 +1669,7 @@ fn policy_tag(p: IpIdPolicy) -> u64 {
 }
 
 /// One forced-MTU ablation row (E9b).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E9MtuRow {
     /// The PMTU the attacker forces onto the nameserver.
     pub forced_mtu: u16,
@@ -1759,7 +1758,7 @@ pub fn e9_mtu_table(rows: &[E9MtuRow]) -> Table {
 // ---------------------------------------------------------------------
 
 /// One E10 configuration and outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E10Row {
     /// Consensus rule in force.
     pub rule: chronos::consensus::ConsensusRule,
@@ -1927,7 +1926,7 @@ pub fn e10_table(rows: &[E10Row]) -> Table {
 // ---------------------------------------------------------------------
 
 /// One E11 configuration and outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E11Row {
     /// Human-readable resolver hardening level.
     pub resolver_profile: String,

@@ -8,10 +8,9 @@
 //! deadline.
 
 use chronos::analysis::panic_controlled;
-use serde::{Deserialize, Serialize};
 
 /// Model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolModelParams {
     /// Total DNS rounds in pool generation (paper: 24).
     pub rounds: usize,
@@ -32,7 +31,7 @@ impl Default for PoolModelParams {
 }
 
 /// Pool composition when poisoning lands at a given round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolCompositionRow {
     /// The 1-based round the poisoned response arrives.
     pub poison_round: usize,

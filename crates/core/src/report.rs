@@ -1,10 +1,9 @@
 //! Plain-text table/series rendering shared by benches and examples.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// A renderable text table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
@@ -112,7 +111,7 @@ pub fn fmt_years(y: f64) -> String {
 }
 
 /// A labelled (x, y) series, for figure-shaped outputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label.
     pub label: String,

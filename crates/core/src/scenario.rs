@@ -29,7 +29,6 @@ use ntplab::clock::LocalClock;
 use ntplab::plain::{PlainNtpClient, PlainNtpConfig};
 use ntplab::server::NtpServer;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Well-known scenario addresses.
@@ -55,7 +54,7 @@ pub mod addrs {
 }
 
 /// Scenario-level configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// World RNG seed (everything is deterministic under it).
     pub seed: u64,
@@ -96,7 +95,7 @@ pub struct ScenarioConfig {
 }
 
 /// Knobs of the low-profile (mitigation-evading) BGP hijacker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LowProfileBgp {
     /// Records per response (the benign pool serves 4).
     pub records: usize,
@@ -169,7 +168,7 @@ fn benign_clock(rng: &mut netsim::rng::SimRng, config: &ScenarioConfig) -> Local
 }
 
 /// Node handles of a built scenario.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScenarioNodes {
     /// The authoritative nameserver node (owns all NS addresses).
     pub auth: NodeId,

@@ -14,10 +14,9 @@ use attacklab::plan::{AttackPlan, PoisonStrategy};
 use chronos::config::{ChronosConfig, PoolGenConfig};
 use netsim::time::SimDuration;
 use ntplab::plain::PlainNtpConfig;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a time-shift trace run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeShiftConfig {
     /// RNG seed.
     pub seed: u64,
@@ -85,7 +84,7 @@ impl TimeShiftConfig {
 }
 
 /// The four traces of the headline comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeShiftResult {
     /// Clock-error series (hours, ms): plain NTP without attack.
     pub plain_benign: Series,

@@ -7,7 +7,6 @@
 //! Chronos' pool generation *amplifies* the attacker's odds.
 
 use netsim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Poisoning opportunities the paper attributes to each client.
 pub mod opportunities {
@@ -32,7 +31,7 @@ pub fn p_any_success(q: f64, tries: u32) -> f64 {
 }
 
 /// One row of the success-probability comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuccessRow {
     /// Per-attempt poisoning success probability.
     pub q: f64,

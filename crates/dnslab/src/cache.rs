@@ -9,11 +9,10 @@
 use crate::name::Name;
 use crate::wire::{Record, RecordType};
 use netsim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Cache lookup key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Record owner name.
     pub name: Name,
@@ -53,7 +52,7 @@ impl Entry {
 }
 
 /// Counters describing cache behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that returned records.
     pub hits: u64,

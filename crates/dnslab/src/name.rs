@@ -17,7 +17,6 @@
 //! ```
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::str::FromStr;
 
@@ -28,7 +27,7 @@ pub const MAX_LABEL_LEN: usize = 63;
 pub const MAX_NAME_LEN: usize = 255;
 
 /// A validated, case-normalised domain name.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Name {
     labels: Vec<String>,
 }

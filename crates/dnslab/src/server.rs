@@ -11,7 +11,6 @@ use crate::zone::Zone;
 use netsim::ip::Ipv4Packet;
 use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackConfig, StackEvent};
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::net::Ipv4Addr;
 
@@ -19,7 +18,7 @@ use std::net::Ipv4Addr;
 pub const DNS_PORT: u16 = 53;
 
 /// Configuration for an [`AuthServer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuthServerConfig {
     /// Whether the server honours EDNS0 buffer sizes from clients.
     pub honor_edns: bool,
@@ -37,7 +36,7 @@ impl Default for AuthServerConfig {
 }
 
 /// Counters describing server activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuthServerStats {
     /// Queries received.
     pub queries: u64,

@@ -24,7 +24,6 @@
 use crate::name::Name;
 use bytes::Bytes;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::error::Error;
 use std::net::Ipv4Addr;
@@ -36,7 +35,7 @@ pub const DNS_HEADER_LEN: usize = 12;
 pub const CLASSIC_UDP_LIMIT: usize = 512;
 
 /// Record (and query) types modelled by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordType {
     /// IPv4 address record.
     A,
@@ -103,7 +102,7 @@ impl fmt::Display for RecordType {
 }
 
 /// Response codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rcode {
     /// No error.
     NoError,
@@ -147,7 +146,7 @@ impl From<u8> for Rcode {
 }
 
 /// Header flag bits (opcode is always QUERY in this model).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Flags {
     /// Response bit.
     pub response: bool,
@@ -164,7 +163,7 @@ pub struct Flags {
 }
 
 /// Newtype so `Flags` can derive `Default` with `NoError`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RcodeField(pub Rcode);
 
 impl Default for RcodeField {
@@ -174,7 +173,7 @@ impl Default for RcodeField {
 }
 
 /// A question section entry (class is always IN).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Question {
     /// Queried name.
     pub name: Name,
@@ -201,7 +200,7 @@ impl Question {
 }
 
 /// Typed record data.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RData {
     /// IPv4 address.
     A(Ipv4Addr),
@@ -261,7 +260,7 @@ impl RData {
 }
 
 /// A resource record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Owner name.
     pub name: Name,
@@ -296,7 +295,7 @@ impl Record {
 }
 
 /// A complete DNS message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Transaction id.
     pub id: u16,
@@ -525,7 +524,7 @@ impl Message {
 }
 
 /// Which message section a record was encoded into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Section {
     /// Answer section.
     Answer,
@@ -536,7 +535,7 @@ pub enum Section {
 }
 
 /// Byte positions of one encoded record's fields within the message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FieldSpan {
     /// Offset of the record's first byte (owner name).
     pub start: usize,
@@ -551,7 +550,7 @@ pub struct FieldSpan {
 }
 
 /// A record together with where its bytes landed during encoding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecordSpan {
     /// Section the record was encoded into.
     pub section: Section,

@@ -9,9 +9,8 @@
 //! a fleet that continues **byte-identically** to one that never stopped
 //! (pinned by `tests/prop_checkpoint_resume.rs`).
 //!
-//! The format is deliberately explicit rather than derived: the vendored
-//! `serde` is a no-op stub (see `crates/compat/serde`), and a hand-written
-//! codec keeps the on-disk layout an auditable, versioned contract instead
+//! The format is deliberately explicit rather than derived: a
+//! hand-written codec keeps the on-disk layout an auditable, versioned contract instead
 //! of an accident of struct layout. Every float crosses the boundary via
 //! [`f64::to_bits`]/[`f64::from_bits`], so restore is bit-exact — the
 //! difference between "resume ≈ uninterrupted" and "resume ≡
@@ -226,8 +225,16 @@ impl<'a> Reader<'a> {
             .map_err(|_| CheckpointError::Corrupt("string is not UTF-8"))
     }
 
+    /// Element-count prefix written by [`Writer::len`]. Every counted
+    /// element encodes to at least one byte, so a count larger than the
+    /// unread payload is [`CheckpointError::Truncated`] — callers may
+    /// size allocations by the result without trusting the blob.
     pub(crate) fn len(&mut self) -> Result<usize, CheckpointError> {
-        Ok(self.u32()? as usize)
+        let n = self.u32()? as usize;
+        if n > self.remaining() {
+            return Err(CheckpointError::Truncated);
+        }
+        Ok(n)
     }
 }
 
@@ -648,6 +655,7 @@ mod tests {
         w.bool(true);
         w.str("héllo");
         w.len(3);
+        w.bytes(&[1, 2, 3]);
         let bytes = w.finish();
         let mut r = Reader::verified(&bytes).expect("checksum holds");
         assert_eq!(r.u8().unwrap(), 7);
@@ -660,6 +668,7 @@ mod tests {
         assert!(r.bool().unwrap());
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.len().unwrap(), 3);
+        assert_eq!(r.take(3).unwrap(), [1, 2, 3]);
         assert_eq!(r.remaining(), 0);
     }
 
@@ -686,6 +695,13 @@ mod tests {
         let mut r = Reader::verified(&bytes).expect("intact");
         r.u8().expect("the one byte");
         assert_eq!(r.u64().err(), Some(CheckpointError::Truncated));
+        // A count claiming more elements than bytes remain.
+        let mut w = Writer::new();
+        w.len(2);
+        w.u8(0);
+        let bytes = w.finish();
+        let mut r = Reader::verified(&bytes).expect("intact");
+        assert_eq!(r.len().err(), Some(CheckpointError::Truncated));
     }
 
     #[test]

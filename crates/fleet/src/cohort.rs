@@ -29,7 +29,6 @@
 use crate::rng::client_seed;
 use chronos::config::ChronosConfig;
 use netsim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Salt folded into the fleet seed before hashing a client id onto a
 /// resolver, so the resolver draw is decorrelated from the client's
@@ -60,7 +59,7 @@ pub const NTS_DEFAULT_KEY_LIFETIME_SECS: u64 = 86_400;
 pub const NTS_DEFAULT_REKEY_SECS: u64 = 86_400;
 
 /// What kind of time client a tier runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClientKind {
     /// The Chronos client: multi-round pool generation, provably secure
     /// selection, accept/reject/panic machinery ([`chronos::core`]).
@@ -88,7 +87,7 @@ pub enum ClientKind {
 /// One population tier of a heterogeneous fleet: a client kind, a
 /// relative population share, and optional per-tier configuration
 /// overrides layered on the fleet-level knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CohortTier {
     /// Label used in reports and figures (e.g. `"chronos"`,
     /// `"plain ntp"`).

@@ -122,7 +122,6 @@ use chronos::select::SelectScratch;
 use netsim::time::{SimDuration, SimTime};
 use ntplab::clock::LocalClock;
 use ntplab::select::PeerSample;
-use serde::{Deserialize, Serialize};
 
 /// Quantiles tracked by the streaming estimators.
 const TRACKED_QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
@@ -141,7 +140,7 @@ const TICK_NS: u64 = 1_000_000;
 const NO_UPDATE: u64 = u64::MAX;
 
 /// Aggregate outcome of a fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Clients simulated.
     pub clients: usize,
@@ -179,7 +178,7 @@ pub struct FleetReport {
 }
 
 /// One tier's slice of a [`FleetReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierBreakdown {
     /// Tier label (from [`crate::cohort::CohortTier::label`]).
     pub label: String,
@@ -209,7 +208,7 @@ pub struct TierBreakdown {
 /// A cheap mid-run snapshot of a fleet's position and health — what a
 /// supervising process (`chronosd`) polls between [`Fleet::run_until`]
 /// slices without paying for a full [`FleetReport`] merge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetProgress {
     /// Current simulated time.
     pub now: SimTime,
@@ -234,7 +233,7 @@ pub struct FleetProgress {
 /// This is observability data, not simulation state: it is measured on
 /// the host's monotonic clock, excluded from checkpoints, and never fed
 /// back into the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetThroughput {
     /// Wall seconds the slice took.
     pub wall_secs: f64,
@@ -2429,8 +2428,9 @@ impl Fleet {
     /// # Errors
     ///
     /// Returns a [`CheckpointError`] when the bytes are not a checkpoint,
-    /// are from another format version, fail the checksum, or decode to
-    /// an inconsistent structure.
+    /// are from another format version, fail the checksum, claim more
+    /// elements than they hold, or decode to an inconsistent structure
+    /// (including a configuration [`FleetConfig::validate`] rejects).
     pub fn restore(bytes: &[u8]) -> Result<Fleet, CheckpointError> {
         Self::restore_with(bytes, None)
     }
@@ -2458,7 +2458,17 @@ impl Fleet {
             return Err(CheckpointError::BadVersion(version));
         }
         let config = checkpoint::get_config(&mut r)?;
-        let mut fleet = Fleet::new(config);
+        // Every client's row takes far more than one byte, so a client
+        // count beyond the unread payload is forged: refuse it before
+        // `Fleet::new` sizes the columns by it.
+        if config.clients > r.remaining() {
+            return Err(CheckpointError::Truncated);
+        }
+        // A checksum proves integrity, not that the embedded config passes
+        // `FleetConfig::validate`, which asserts: a config that fails it
+        // makes the checkpoint corrupt, not the caller's thread panic.
+        let mut fleet = std::panic::catch_unwind(|| Fleet::new(config))
+            .map_err(|_| CheckpointError::Corrupt("configuration fails validation"))?;
         let now_ns = r.u64()?;
         if r.len()? != fleet.shards.len() {
             return Err(CheckpointError::Corrupt("shard count mismatch"));
@@ -2668,6 +2678,50 @@ mod tests {
         for i in 0..16 {
             assert_eq!(fresh.trace(i), reused.trace(i), "client {i} trajectory");
         }
+    }
+
+    #[test]
+    fn restore_refuses_counts_beyond_the_payload() {
+        let mut fleet = Fleet::new(small_config());
+        fleet.run_until(SimTime::from_secs(1_000));
+        let mut bytes = fleet.checkpoint();
+        // The last shard's due list sits just before its tail: the four
+        // clock words, the shifted counts, the histogram, the quantile
+        // estimators (22 words each) and the event count.
+        let shard = fleet.shards.last().expect("a shard");
+        let tail = 4 * 8
+            + 4
+            + 8 * shard.shifted_counts.len()
+            + 4
+            + 8 * shard.histogram.raw_counts().0.len()
+            + 8
+            + 22 * 8 * shard.quantiles.len()
+            + 8;
+        let at = bytes.len() - 8 - tail - 4 * shard.due.len() - 4;
+        assert_eq!(bytes[at..at + 4], (shard.due.len() as u32).to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let body = bytes.len() - 8;
+        let sum = checkpoint::checksum(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            Fleet::restore(&bytes).err(),
+            Some(CheckpointError::Truncated)
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_configuration_that_fails_validation() {
+        let mut config = small_config();
+        config.sample_every = SimDuration::from_secs(0);
+        let mut w = Writer::new();
+        w.bytes(&checkpoint::MAGIC);
+        w.u32(checkpoint::VERSION);
+        checkpoint::put_config(&mut w, &config);
+        w.bytes(&[0; 4_096]);
+        assert_eq!(
+            Fleet::restore(&w.finish()).err(),
+            Some(CheckpointError::Corrupt("configuration fails validation"))
+        );
     }
 
     #[test]

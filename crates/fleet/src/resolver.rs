@@ -63,7 +63,6 @@
 
 use crate::config::FleetConfig;
 use crate::rng::{client_seed, FleetRng};
-use serde::{Deserialize, Serialize};
 
 /// Salt folded into the fleet seed before deriving a resolver's rotation
 /// phase and TTL perturbation, so resolver diversity draws are
@@ -79,7 +78,7 @@ const RESOLVER_TRAIT_SALT: u64 = 0x0d1f_f3a5_0f00_dcaf;
 pub const STALE_TTL_SECS: u32 = 30;
 
 /// What one DNS query returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DnsAnswer {
     /// A benign rotation batch (`per_response` addresses, identified by
     /// the rotation residue `batch % rotation_batches`).
@@ -117,7 +116,7 @@ pub enum DnsAnswer {
 /// One client's static pool-query schedule, the input to the timeline
 /// pre-pass: queries fire at `start + k·interval` for `k < rounds`.
 /// A plain-NTP client is `{ start, interval: 0, rounds: 1 }`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuerySchedule {
     /// First query time, ns.
     pub start_ns: u64,
@@ -130,7 +129,7 @@ pub struct QuerySchedule {
 /// One resolver's cache (shared by every client assigned to it, or
 /// consulted read-only per client — see
 /// [`FleetConfig::shared_cache`](crate::config::FleetConfig::shared_cache)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResolverModel {
     ttl_ns: u64,
     benign_ttl_secs: u32,
@@ -499,7 +498,7 @@ fn next_query_at_or_after(schedules: &[QuerySchedule], from: u64) -> Option<u64>
 /// query times (see [`ResolverModel::timeline`]). Immutable after
 /// construction, so shards stepping in parallel read it without
 /// synchronization.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResolverTimeline {
     segments: Vec<(u64, DnsAnswer)>,
     /// Every cache write of the replay — `(write_ns, expiry_ns, entry)`

@@ -21,8 +21,6 @@
 //!   stay byte-identical across thread counts, shard sizes and fleet
 //!   slicings (the draw never depends on stepping order).
 
-use serde::{Deserialize, Serialize};
-
 /// Weyl increment of SplitMix64.
 const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
@@ -50,7 +48,7 @@ const FAULT_SALT: u64 = 0xfa17_5eed_0bad_ca11;
 /// Which fault decision a [`fault_f64`] draw feeds. The lane keeps the
 /// independent fault axes (DNS vs NTP vs backoff jitter) on disjoint
 /// substreams even when they share a round index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u64)]
 pub enum FaultLane {
     /// One DNS pool query's SERVFAIL draw (`round` = the client's query
@@ -101,7 +99,7 @@ pub fn fault_f64(fleet_seed: u64, global_id: u64, lane: FaultLane, round: u64, s
 }
 
 /// An 8-byte deterministic RNG stream (SplitMix64).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetRng(u64);
 
 impl FleetRng {

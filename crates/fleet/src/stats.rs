@@ -13,13 +13,11 @@
 //! (count-weighted markers) and are folded in fixed shard order so the
 //! merged estimate reproduces bit for bit across thread counts.
 
-use serde::{Deserialize, Serialize};
-
 /// Fault-injection activity counters ([`crate::config::FaultPlan`]),
 /// accumulated per client and merged into per-tier and fleet-wide sums in
 /// [`FleetReport`](crate::engine::FleetReport). All-zero in a fault-free
 /// run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// NTP samples dropped by the per-sample loss draw (poll and panic
     /// rounds).
@@ -60,7 +58,7 @@ impl FaultCounters {
 /// client and merged into per-tier and fleet-wide sums in
 /// [`FleetReport`](crate::engine::FleetReport). All-zero for fleets
 /// without secure tiers, so pre-E18 reports are unchanged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SecureCounters {
     /// NTS-KE associations (boot or re-key) resolved through a poisoned
     /// cache: the client held attacker-issued keys for the key lifetime
@@ -97,7 +95,7 @@ impl SecureCounters {
 /// healthy offsets (tens of µs) differ by orders of magnitude. Values
 /// below the first edge land in bin 0; values beyond the last edge land in
 /// the overflow bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OffsetHistogram {
     /// Upper edge of each bin, ns (ascending; the last bin is overflow).
     edges_ns: Vec<u64>,
@@ -211,7 +209,7 @@ impl OffsetHistogram {
 /// Online quantile estimation by the P² algorithm (Jain & Chlamtac 1985):
 /// five markers track one quantile of an unbounded stream in O(1) memory
 /// and O(1) per observation, without storing samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct P2Quantile {
     p: f64,
     /// Marker heights (estimates of the 0, p/2, p, (1+p)/2, 1 quantiles).

@@ -23,7 +23,6 @@
 
 use bytes::Bytes;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::net::Ipv4Addr;
 
@@ -37,7 +36,7 @@ pub const IPV4_MIN_MTU: u16 = 68;
 pub const ETHERNET_MTU: u16 = 1500;
 
 /// IP protocol numbers used by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IpProto {
     /// ICMP (protocol 1).
     Icmp,
@@ -255,7 +254,7 @@ impl Ipv4Packet {
 }
 
 /// An IPv4 prefix, e.g. `203.0.113.0/24`, used for BGP-hijack routing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ipv4Net {
     addr: Ipv4Addr,
     prefix_len: u8,

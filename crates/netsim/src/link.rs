@@ -9,11 +9,10 @@
 use crate::node::NodeId;
 use crate::rng::SimRng;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A one-way latency distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LatencyModel {
     /// Fixed delay.
     Constant(SimDuration),
@@ -73,7 +72,7 @@ impl LatencyModel {
 }
 
 /// Properties of the path between two nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathProfile {
     /// One-way latency distribution.
     pub latency: LatencyModel,
@@ -101,7 +100,7 @@ impl Default for PathProfile {
 }
 
 /// Per-node access link configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessLink {
     /// MTU of the node's access link.
     pub mtu: u16,

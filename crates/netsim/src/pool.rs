@@ -20,12 +20,11 @@
 //! amortized to noise and the per-trial hot path stays lock-free.
 
 use crate::world::World;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Counters describing pool effectiveness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorldPoolStats {
     /// Checkouts that found a reusable object (hits).
     pub reused: u64,

@@ -14,7 +14,6 @@ use crate::node::Context;
 use crate::udp::UdpDatagram;
 use bytes::Bytes;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -23,7 +22,7 @@ use std::net::Ipv4Addr;
 /// Predictable allocation is the enabler for off-path fragment injection:
 /// the attacker must guess the `id` the server will use for the victim's
 /// datagram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IpIdPolicy {
     /// One global counter (classic BSD/Windows behaviour): trivially
     /// predictable by probing the server.
@@ -40,7 +39,7 @@ pub enum IpIdPolicy {
 ///
 /// Calibrates the resolver population study (paper §II): 90 % of resolvers
 /// accept some fragments, 64 % even 68-byte-MTU fragments, 10 % none.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FragFilter {
     /// All fragments are accepted.
     AcceptAll,
@@ -73,7 +72,7 @@ pub enum StackEvent {
 }
 
 /// Configuration for an [`IpStack`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StackConfig {
     /// IP-ID allocation policy.
     pub ip_id_policy: IpIdPolicy,

@@ -24,7 +24,6 @@ use crate::node::{Action, Context, Node, NodeId};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceOutcome};
-use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 
@@ -46,7 +45,7 @@ pub struct Hijack {
 }
 
 /// Counters describing world activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorldStats {
     /// Events processed.
     pub events: u64,

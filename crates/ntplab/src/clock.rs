@@ -6,14 +6,13 @@
 //! synchronisation protocols correct by stepping or slewing.
 
 use netsim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// ntpd's default step threshold: offsets beyond this are stepped, not
 /// slewed (128 ms).
 pub const STEP_THRESHOLD_NS: i64 = 128_000_000;
 
 /// A drifting local clock.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalClock {
     /// Offset (clock − true) in nanoseconds at `rebased_at`.
     offset_ns: i64,

@@ -2,7 +2,6 @@
 
 use crate::timestamp::{NtpShort, NtpTimestamp};
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 
 /// The well-known NTP port.
@@ -12,7 +11,7 @@ pub const NTP_PORT: u16 = 123;
 pub const NTP_PACKET_LEN: usize = 48;
 
 /// Leap indicator field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LeapIndicator {
     /// No warning.
     NoWarning,
@@ -45,7 +44,7 @@ impl LeapIndicator {
 }
 
 /// Protocol mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Symmetric active (1).
     SymmetricActive,
@@ -86,7 +85,7 @@ impl Mode {
 }
 
 /// An NTPv4 packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NtpPacket {
     /// Leap indicator.
     pub leap: LeapIndicator,

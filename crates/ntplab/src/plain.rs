@@ -17,7 +17,6 @@ use netsim::ip::Ipv4Packet;
 use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackEvent};
 use netsim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::net::Ipv4Addr;
 
@@ -26,7 +25,7 @@ const TAG_POLL: u64 = 2;
 const TAG_COLLECT: u64 = 3;
 
 /// Configuration of a [`PlainNtpClient`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlainNtpConfig {
     /// Name resolved to discover servers.
     pub pool_name: Name,
@@ -53,7 +52,7 @@ impl Default for PlainNtpConfig {
 }
 
 /// Counters describing client activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlainNtpStats {
     /// DNS resolutions attempted.
     pub dns_queries: u64,

@@ -6,11 +6,10 @@
 //! `⌈n/2⌉ - 1` falsetickers. This is the baseline NTP defence the paper's
 //! plain-NTP client uses — and the one Chronos replaces.
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// One server's measurement, the input to selection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeerSample {
     /// The server that produced the sample.
     pub server: Ipv4Addr,
@@ -36,7 +35,7 @@ impl PeerSample {
 }
 
 /// Result of the intersection algorithm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Intersection {
     /// The agreed interval `[low, high]` (nanoseconds of offset).
     pub low: i64,

@@ -11,12 +11,11 @@ use bytes::Bytes;
 use netsim::ip::Ipv4Packet;
 use netsim::node::{Context, Node};
 use netsim::stack::{IpStack, StackEvent};
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::net::Ipv4Addr;
 
 /// Counters describing server activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NtpServerStats {
     /// Mode-3 requests served.
     pub requests: u64,
