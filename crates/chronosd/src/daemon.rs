@@ -20,17 +20,18 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use fleet::checkpoint::{SweepCursor, SWEEP_MAGIC};
 use fleet::engine::Fleet;
 
 use crate::jobs::{
     default_workers, resume_spec, Job, JobSnapshot, JobSpec, JobState, JobTable, Params,
-    SweepOutcome,
 };
 use crate::json::Json;
 use crate::metrics::DaemonObs;
-use crate::render::{e18_sweep_json, progress_json, report_json, sweep_json};
+use crate::render::{progress_json, report_json};
 use crate::state::{self, ManifestEntry, StateDir};
 
 /// Protocol version reported by `ping` (bump on breaking wire changes).
@@ -228,6 +229,11 @@ impl Daemon {
             }
             let stream = stream?;
             self.obs.connections.inc();
+            // Reap finished connection threads, so the daemon holds one
+            // handle per live connection, not one per connection ever.
+            let (finished, live) = handlers.into_iter().partition(JoinHandle::is_finished);
+            handlers = live;
+            self.join_handlers(finished);
             let ctx = Arc::clone(&ctx);
             handlers.push(std::thread::spawn(move || {
                 handle_connection(stream, &ctx);
@@ -256,6 +262,14 @@ impl Daemon {
         if let Some(dir) = &self.state {
             write_snapshot(&self.table, dir, &self.obs, &resume_states);
         }
+        self.join_handlers(handlers);
+        let _ = std::fs::remove_file(&self.path);
+        self.obs.logger.info("chronosd::daemon", "shut down", &[]);
+        Ok(())
+    }
+
+    /// Join connection threads, logging any that panicked.
+    fn join_handlers(&self, handlers: Vec<JoinHandle<()>>) {
         for handler in handlers {
             if handler.join().is_err() {
                 self.obs
@@ -263,9 +277,6 @@ impl Daemon {
                     .error("chronosd::daemon", "connection handler panicked", &[]);
             }
         }
-        let _ = std::fs::remove_file(&self.path);
-        self.obs.logger.info("chronosd::daemon", "shut down", &[]);
-        Ok(())
     }
 }
 
@@ -415,8 +426,8 @@ fn adopt_entry(
                 .map(|_| ());
         }
     };
-    if bytes.starts_with(&crate::sweep::MAGIC) {
-        match crate::sweep::decode(&bytes) {
+    if bytes.starts_with(&SWEEP_MAGIC) {
+        match SweepCursor::decode(&bytes) {
             Ok(cursor) => match table.adopt_sweep(
                 &entry.name,
                 &entry.kind,
@@ -591,10 +602,10 @@ fn resume(ctx: &ServerCtx, request: &Json) -> Result<Arc<Job>, String> {
     if let Some(slice_s) = request.get("slice_s").and_then(Json::as_u64) {
         params.slice_s = slice_s.max(1);
     }
-    if bytes.starts_with(&crate::sweep::MAGIC) {
+    if bytes.starts_with(&SWEEP_MAGIC) {
         params.pause_at_row = request.get("pause_at_row").and_then(Json::as_usize);
         let cursor =
-            crate::sweep::decode(&bytes).map_err(|e| format!("sweep cursor rejected: {e}"))?;
+            SweepCursor::decode(&bytes).map_err(|e| format!("sweep cursor rejected: {e}"))?;
         let kind = "resume-sweep";
         ctx.table.adopt_sweep(
             name,
@@ -700,12 +711,13 @@ fn dispatch(
                             )),
                         }
                     } else {
-                        match job.sweep_result() {
-                            Some(SweepOutcome::E16(result)) => {
-                                ok(vec![("sweep".into(), sweep_json(&result))])
-                            }
-                            Some(SweepOutcome::E18(result)) => {
-                                ok(vec![("sweep".into(), e18_sweep_json(&result))])
+                        match job.sweep_reports() {
+                            Some(reports) => {
+                                let rows = reports.iter().map(report_json).collect();
+                                ok(vec![(
+                                    "sweep".into(),
+                                    Json::Obj(vec![("rows".into(), Json::Arr(rows))]),
+                                )])
                             }
                             None => err(format!("sweep job {:?} is not done yet", job.name)),
                         }

@@ -6,8 +6,9 @@
 //! * **submit** — [`JobSpec::from_json`] parses the wire spec. It is the
 //!   one place that knows the experiment presets: `e16-fleet`,
 //!   `e17-fleet` and `e18-fleet` resolve there, once, into a
-//!   [`fleet::FleetConfig`], and `e16-sweep`/`e18-sweep` into a
-//!   [`JobSpec::Sweep`] keyed by its [`SweepFlavor`]. The scheduling
+//!   [`fleet::FleetConfig`], and `e16-sweep`/`e18-sweep` into the list
+//!   of row configurations a [`JobSpec::Sweep`] walks. From there on the
+//!   job layer handles configurations, never experiments. The scheduling
 //!   knobs travel beside the spec as [`Params`], and the parse also
 //!   yields the *normalized* spec object — every recognised key with its
 //!   resolved value — that the state-dir manifest records.
@@ -40,13 +41,15 @@
 //!   invisible to the simulation (`piecewise_runs_equal_one_continuous_run`,
 //!   `resume_equals_uninterrupted_run`).
 //!
-//! Sweep jobs are no longer monolithic batch units: the worker steps the
-//! current row's fleet in slices like any fleet job and, when a row
-//! reaches its horizon, records the row's final checkpoint and report and
-//! immediately builds (and parks) the next row's fleet. The slot
-//! therefore always holds the *current row*, so a sweep is observable,
-//! pausable at row boundaries (`pause_at_row`), and checkpointable — the
-//! per-row cursor persists as a `SWP1` sidecar (see [`crate::sweep`]).
+//! Fleets and sweeps share one stepper: it runs the parked fleet slice by
+//! slice to its configured horizon. There a fleet job is done, while a
+//! sweep records the row's final checkpoint and report and builds (and
+//! parks) the next row's fleet. The slot therefore always holds the
+//! *current row*, so a sweep is observable, pausable (`pause_at_row` at
+//! a row's start), and checkpointable — the per-row cursor persists as a
+//! `SWP1` sidecar ([`fleet::checkpoint::SweepCursor`]). A done sweep
+//! serves its rows as plain [`FleetReport`]s; callers that want the
+//! figure assemble it with `e16_result_from_rows`/`e18_result_from_rows`.
 //!
 //! Determinism follows: a job's final report depends only on its
 //! [`fleet::FleetConfig`] — not on slice length, worker count, how often
@@ -59,11 +62,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::Duration;
 
-use chronos_pitfalls::experiments::{
-    e16_config, e16_result_from_rows, e17_config, e18_config, e18_grid, e18_result_from_rows,
-    E16Result, E16Row, E18Result, E18Row,
-};
-use chronos_pitfalls::montecarlo::SweepStats;
+use chronos_pitfalls::experiments::{e16_config, e17_config, e18_config, e18_grid};
+use fleet::checkpoint::SweepCursor;
+use fleet::config::MAX_RESOLVERS;
 use fleet::engine::{Fleet, FleetProgress, FleetReport};
 use fleet::metrics::FleetMetrics;
 use fleet::FleetConfig;
@@ -71,7 +72,6 @@ use netsim::time::{SimDuration, SimTime};
 
 use crate::json::Json;
 use crate::metrics::{DaemonObs, JobMetrics};
-use crate::sweep::{SweepCursor, SweepFlavor};
 
 /// Default slice length in simulated seconds between observation points.
 pub const DEFAULT_SLICE_S: u64 = 60;
@@ -96,20 +96,13 @@ pub enum JobSpec {
     /// (boxed: a configuration is an order of magnitude larger than the
     /// other variants).
     Fleet(Box<FleetConfig>),
-    /// A full experiment grid (`e16-sweep`: `k = 0..=resolvers` poisoned
-    /// caches; `e18-sweep`: [`chronos_pitfalls::experiments::e18_grid`]),
-    /// run row by row so it can be observed, paused at row boundaries,
-    /// and checkpointed (`SWP1` cursor) like any other job.
-    Sweep {
-        /// Which grid the sweep walks.
-        flavor: SweepFlavor,
-        /// Deterministic seed.
-        seed: u64,
-        /// Fleet size per row.
-        clients: usize,
-        /// Independent resolver caches; the grid derives from it.
-        resolvers: usize,
-    },
+    /// A list of fleet runs (*rows*) stepped in order, each with
+    /// `threads` set, so the grid can be observed, paused at row
+    /// boundaries, and checkpointed (`SWP1` cursor) like any other job.
+    /// `e16-sweep` resolves to `e16_config` for `k = 0..=resolvers`
+    /// poisoned caches, `e18-sweep` to `e18_config` over
+    /// [`chronos_pitfalls::experiments::e18_grid`].
+    Sweep(Vec<FleetConfig>),
     /// A supervision probe: the job panics on its first slice. Operators
     /// (and CI) use it to verify the pool's panic isolation — the probe
     /// must land in `failed` with this message while every other job
@@ -257,17 +250,31 @@ impl JobSpec {
                 (JobSpec::Fleet(Box::new(config)), params)
             }
             "e16-sweep" | "e18-sweep" => {
-                let spec = JobSpec::Sweep {
-                    flavor: if kind == "e16-sweep" {
-                        SweepFlavor::E16
-                    } else {
-                        SweepFlavor::E18
-                    },
-                    seed: r.u64("seed", 7, 0)?,
-                    clients: r.usize("clients", 1_000, 1)?,
-                    resolvers: r.usize("resolvers", 4, 1)?,
+                let seed = r.u64("seed", 7, 0)?;
+                let clients = r.usize("clients", 1_000, 1)?;
+                let resolvers = r.usize("resolvers", 4, 1)?;
+                // The grid grows with `resolvers`, so bound it before
+                // building one configuration per row.
+                if resolvers > MAX_RESOLVERS {
+                    return Err(format!(
+                        "resolvers: {resolvers} exceeds the maximum ({MAX_RESOLVERS})"
+                    ));
+                }
+                let params = r.params(true)?;
+                let mut configs: Vec<FleetConfig> = if kind == "e16-sweep" {
+                    (0..=resolvers)
+                        .map(|k| e16_config(seed, clients, resolvers, k))
+                        .collect()
+                } else {
+                    e18_grid(resolvers)
+                        .into_iter()
+                        .map(|(deployment, k)| e18_config(seed, clients, resolvers, deployment, k))
+                        .collect()
                 };
-                (spec, r.params(true)?)
+                for config in &mut configs {
+                    config.threads = params.threads;
+                }
+                (JobSpec::Sweep(configs), params)
             }
             "panic-probe" => {
                 let message = r
@@ -397,67 +404,29 @@ impl Default for Params {
     }
 }
 
-/// Sweep bookkeeping: the per-row cursor that `SWP1` persists. The
-/// worker mutates it only while the slot is empty (between `take_parked`
-/// and `park`), so any observer holding the slot with a parked fleet sees
-/// a cursor consistent with that fleet.
+/// Sweep bookkeeping: the per-row cursor that `SWP1` persists (empty
+/// for fleet jobs). The worker mutates it only while the slot is empty
+/// (between `take_parked` and `park`), so any observer holding the slot
+/// with a parked fleet sees a cursor consistent with that fleet.
 #[derive(Debug, Default)]
 struct SweepBook {
-    /// Which experiment grid the sweep walks (E16 k-grid or the E18
-    /// deployment × poisoning grid).
-    flavor: SweepFlavor,
-    /// Deterministic seed (row configs derive from it).
-    seed: u64,
-    /// Fleet size per row.
-    clients: usize,
-    /// Resolver count (the grid derives from it per flavor).
-    resolvers: usize,
-    /// Rows in the grid ([`SweepFlavor::total_rows`]); 0 until the
-    /// sweep builds.
-    total: usize,
-    /// Index of the current row (== completed row count).
-    row: usize,
-    /// Final `CHR1` checkpoint of each completed row, in row order.
-    /// Restoring one and calling `report()` reproduces the row's report
-    /// byte-identically — this is how a rebooted daemon serves sweep
-    /// reports without recomputing rows.
+    /// Every row's configuration; the row total is `configs.len()`.
+    configs: Vec<FleetConfig>,
+    /// Final `CHR1` checkpoint of each completed row, in row order; the
+    /// current row's index is `done_blobs.len()`. Restoring one and
+    /// calling `report()` reproduces the row's report byte-identically —
+    /// this is how a rebooted daemon serves sweep reports without
+    /// recomputing rows.
     done_blobs: Vec<Vec<u8>>,
     /// The completed rows' reports (derived from `done_blobs`).
     done_reports: Vec<FleetReport>,
 }
 
 impl SweepBook {
-    /// The fleet configuration of grid row `row` — a pure function of
-    /// the book's identity, shared (via `e16_config` / `e18_config`)
-    /// with the batch runners so a daemon sweep reproduces `run_e16` /
-    /// `run_e18` byte for byte.
-    fn row_config(&self, row: usize) -> FleetConfig {
-        match self.flavor {
-            SweepFlavor::E16 => e16_config(self.seed, self.clients, self.resolvers, row),
-            SweepFlavor::E18 => {
-                let (deployment, poisoned) = e18_grid(self.resolvers)[row];
-                e18_config(
-                    self.seed,
-                    self.clients,
-                    self.resolvers,
-                    deployment,
-                    poisoned,
-                )
-            }
-        }
+    /// `(rows done, rows total)` for a sweep; `None` for a fleet job.
+    fn rows(&self) -> Option<(usize, usize)> {
+        (!self.configs.is_empty()).then_some((self.done_blobs.len(), self.configs.len()))
     }
-}
-
-/// A finished sweep's assembled result, matching the flavor of grid the
-/// job walked. Holds exactly what the batch runner for that flavor
-/// (`run_e16` / `run_e18`) would have produced, minus pooled `stats`.
-#[derive(Debug, Clone)]
-pub enum SweepOutcome {
-    /// An `e16-sweep` (or a resumed one): the partial-poisoning sweep.
-    E16(E16Result),
-    /// An `e18-sweep` (or a resumed one): the deployment × poisoning
-    /// sweep over the partially-secure population.
-    E18(E18Result),
 }
 
 /// What the worker knows about a job between steps. Guarded by a mutex
@@ -468,14 +437,10 @@ pub enum SweepOutcome {
 enum WorkerState {
     /// Not yet built; the first step builds the simulation.
     Pending(JobSpec),
-    /// A fleet job stepping toward this horizon.
-    FleetRun {
-        /// The configured end of simulated time.
-        horizon: SimTime,
-    },
-    /// A sweep stepping its current row (cursor + identity in the
+    /// Stepping the parked fleet toward its horizon (for a sweep, the
+    /// current row's fleet; the rest of the cursor is in the
     /// [`SweepBook`]).
-    SweepRun,
+    Running,
     /// Terminal: nothing left to step.
     Finished,
 }
@@ -508,7 +473,6 @@ pub struct Job {
     params: Mutex<Params>,
     book: Mutex<SweepBook>,
     spec_json: Json,
-    sweep_result: Mutex<Option<SweepOutcome>>,
     /// Per-job gauges (`None` when the table runs without observability).
     metrics: Option<JobMetrics>,
     /// The daemon logger (`None` when embedding without observability).
@@ -576,7 +540,6 @@ impl Job {
             params: Mutex::new(params),
             book: Mutex::new(SweepBook::default()),
             spec_json,
-            sweep_result: Mutex::new(None),
             metrics,
             logger,
         }
@@ -736,10 +699,12 @@ impl Job {
         self.with_fleet(timeout, |fleet| fleet.report())
     }
 
-    /// The stored sweep result (`None` until a sweep job is done); the
-    /// variant matches the grid flavor the job walked.
-    pub fn sweep_result(&self) -> Option<SweepOutcome> {
-        lock(&self.sweep_result).clone()
+    /// Every row's report, in row order, once a sweep has completed all
+    /// of its rows (`None` before then, and for fleet jobs).
+    pub fn sweep_reports(&self) -> Option<Vec<FleetReport>> {
+        let book = lock(&self.book);
+        matches!(book.rows(), Some((done, total)) if done == total)
+            .then(|| book.done_reports.clone())
     }
 
     /// The report of completed sweep row `row` (rows complete in order,
@@ -752,37 +717,25 @@ impl Job {
     /// final checkpoint plus the current row's live checkpoint. Errors
     /// for non-sweep jobs and sweeps that have not built yet.
     pub fn sweep_cursor(&self, timeout: Duration) -> Result<Vec<u8>, String> {
+        let encode = |book: &SweepBook, current: Option<Vec<u8>>| {
+            SweepCursor {
+                configs: book.configs.clone(),
+                done: book.done_blobs.clone(),
+                current,
+            }
+            .encode()
+        };
         // Complete sweeps hold no current fleet: encode the cursor from
         // the book alone. Otherwise hold the slot (fleet parked) so the
         // book cannot move while we pair it with the live checkpoint.
-        {
-            let book = lock(&self.book);
-            if book.total == 0 {
-                return Err(format!("job {:?} has no sweep cursor yet", self.name));
-            }
-            if book.row >= book.total {
-                return Ok(crate::sweep::encode(&crate::sweep::SweepCursor {
-                    flavor: book.flavor,
-                    seed: book.seed,
-                    clients: book.clients,
-                    resolvers: book.resolvers,
-                    row: book.row,
-                    done: book.done_blobs.clone(),
-                    current: None,
-                }));
-            }
+        let rows = lock(&self.book).rows();
+        match rows {
+            None => return Err(format!("job {:?} has no sweep cursor yet", self.name)),
+            Some((done, total)) if done == total => return Ok(encode(&lock(&self.book), None)),
+            Some(_) => {}
         }
         self.with_fleet(timeout, |fleet| {
-            let book = lock(&self.book);
-            crate::sweep::encode(&crate::sweep::SweepCursor {
-                flavor: book.flavor,
-                seed: book.seed,
-                clients: book.clients,
-                resolvers: book.resolvers,
-                row: book.row,
-                done: book.done_blobs.clone(),
-                current: Some(fleet.checkpoint()),
-            })
+            encode(&lock(&self.book), Some(fleet.checkpoint()))
         })
     }
 
@@ -827,10 +780,7 @@ impl Job {
             m.sim_per_wall.set(t.sim_per_wall);
             m.events_per_sec.set(t.events_per_sec);
         }
-        let sweep_rows = {
-            let book = lock(&self.book);
-            (book.total > 0).then_some((book.row.min(book.total), book.total))
-        };
+        let sweep_rows = lock(&self.book).rows();
         let mut status = lock(&self.status);
         status.progress = Some(progress);
         status.slices += 1;
@@ -851,10 +801,6 @@ impl Job {
     /// unwrapping.
     fn take_parked(&self) -> Option<Fleet> {
         lock(&self.slot).take()
-    }
-
-    fn parked_now(&self) -> Option<SimTime> {
-        lock(&self.slot).as_ref().map(Fleet::now)
     }
 
     /// Retire the job as stopped (worker-side or shutdown drain).
@@ -889,14 +835,9 @@ impl Job {
                 drop(worker);
                 self.build(spec, fleet_metrics)
             }
-            WorkerState::FleetRun { horizon } => {
-                let horizon = *horizon;
+            WorkerState::Running => {
                 drop(worker);
-                self.step_fleet(horizon)
-            }
-            WorkerState::SweepRun => {
-                drop(worker);
-                self.step_sweep(fleet_metrics)
+                self.advance(fleet_metrics)
             }
             WorkerState::Finished => StepOutcome::Terminal,
         }
@@ -904,45 +845,34 @@ impl Job {
 
     /// First step: build the simulation from the spec.
     fn build(&self, spec: JobSpec, fleet_metrics: &Option<Arc<FleetMetrics>>) -> StepOutcome {
-        let (mut fleet, worker) = match spec {
+        let config = match spec {
             JobSpec::PanicProbe { message } => {
                 // The probe exists to exercise the pool's catch_unwind
                 // path end to end; the panic is caught one frame up.
                 panic!("{message}");
             }
-            JobSpec::Fleet(config) => {
-                let horizon = SimTime::ZERO + config.horizon;
-                (Fleet::new(*config), WorkerState::FleetRun { horizon })
-            }
-            JobSpec::Sweep {
-                flavor,
-                seed,
-                clients,
-                resolvers,
-            } => {
-                let mut config = {
-                    let mut book = lock(&self.book);
-                    *book = SweepBook {
-                        flavor,
-                        seed,
-                        clients,
-                        resolvers,
-                        total: flavor.total_rows(resolvers),
-                        ..SweepBook::default()
-                    };
-                    book.row_config(0)
-                };
-                config.threads = self.params().threads;
-                (Fleet::new(config), WorkerState::SweepRun)
+            JobSpec::Fleet(config) => *config,
+            JobSpec::Sweep(configs) => {
+                let first = configs.first().cloned().expect("a sweep has rows");
+                lock(&self.book).configs = configs;
+                first
             }
         };
+        *lock(&self.worker) = WorkerState::Running;
+        self.set_state(JobState::Running, None);
+        self.launch(config, fleet_metrics);
+        StepOutcome::Again
+    }
+
+    /// Build a fleet for `config` on the job's thread count, park it and
+    /// publish its starting progress.
+    fn launch(&self, mut config: FleetConfig, fleet_metrics: &Option<Arc<FleetMetrics>>) {
+        config.threads = self.params().threads;
+        let mut fleet = Fleet::new(config);
         fleet.set_metrics(fleet_metrics.clone());
         let progress = fleet.progress();
         self.park(fleet);
-        *lock(&self.worker) = worker;
-        self.set_state(JobState::Running, None);
         self.publish_slice(progress);
-        StepOutcome::Again
     }
 
     /// Decide whether to pause at the current boundary. Returns `true`
@@ -969,22 +899,43 @@ impl Job {
         true
     }
 
-    fn step_fleet(&self, horizon: SimTime) -> StepOutcome {
-        let params = self.params();
-        let Some(now) = self.parked_now() else {
-            self.finish_failed("fleet state lost (earlier panic mid-slice)".to_string());
-            return StepOutcome::Terminal;
+    /// Every job's stepper: run the parked fleet one slice toward its
+    /// horizon, pausing at `pause_at_s` within the row or at the start of
+    /// row `pause_at_row`. At the horizon a fleet job is done, and a sweep
+    /// records the row and builds the next one.
+    fn advance(&self, fleet_metrics: &Option<Arc<FleetMetrics>>) -> StepOutcome {
+        let lost = || {
+            self.finish_failed("simulation state lost (earlier panic mid-slice)".to_string());
+            StepOutcome::Terminal
         };
-        let pause_at = params.pause_at_s.map(SimTime::from_secs);
-        if let Some(p) = pause_at {
-            if now >= p && self.pause_here() {
-                return StepOutcome::Idle;
-            }
+        let parked = lock(&self.slot)
+            .as_ref()
+            .map(|fleet| (fleet.now(), SimTime::ZERO + fleet.config().horizon));
+        let Some((now, horizon)) = parked else {
+            return lost();
+        };
+        let params = self.params();
+        let (row, sweep) = {
+            let book = lock(&self.book);
+            (book.done_blobs.len(), !book.configs.is_empty())
+        };
+        let at_anchor = params
+            .pause_at_s
+            .is_some_and(|p| now >= SimTime::from_secs(p))
+            || (params.pause_at_row == Some(row) && now == SimTime::ZERO);
+        if at_anchor && self.pause_here() {
+            return StepOutcome::Idle;
         }
-        if now >= horizon {
+        if now >= horizon && !sweep {
             *lock(&self.worker) = WorkerState::Finished;
             self.set_state(JobState::Done, None);
             return StepOutcome::Terminal;
+        }
+        let Some(mut fleet) = self.take_parked() else {
+            return lost();
+        };
+        if now >= horizon {
+            return self.next_row(fleet, fleet_metrics);
         }
         let mut target = (now + SimDuration::from_secs(params.slice_s)).min(horizon);
         // Re-read: pause_here() may have just cleared the anchor.
@@ -993,10 +944,6 @@ impl Job {
                 target = target.min(p);
             }
         }
-        let Some(mut fleet) = self.take_parked() else {
-            self.finish_failed("fleet state lost (earlier panic mid-slice)".to_string());
-            return StepOutcome::Terminal;
-        };
         fleet.run_until(target);
         let progress = fleet.progress();
         self.park(fleet);
@@ -1004,144 +951,82 @@ impl Job {
         StepOutcome::Again
     }
 
-    fn step_sweep(&self, fleet_metrics: &Option<Arc<FleetMetrics>>) -> StepOutcome {
-        let params = self.params();
-        let Some(now) = self.parked_now() else {
-            self.finish_failed("sweep state lost (earlier panic mid-slice)".to_string());
-            return StepOutcome::Terminal;
-        };
-        let row = lock(&self.book).row;
-        // Row-boundary pause: about to start row `pause_at_row`, its
-        // fleet freshly built and untouched.
-        if params.pause_at_row == Some(row) && now == SimTime::ZERO && self.pause_here() {
-            return StepOutcome::Idle;
-        }
-        let Some(mut fleet) = self.take_parked() else {
-            self.finish_failed("sweep state lost (earlier panic mid-slice)".to_string());
-            return StepOutcome::Terminal;
-        };
-        let horizon = SimTime::ZERO + fleet.config().horizon;
-        if now < horizon {
-            let target = (now + SimDuration::from_secs(params.slice_s)).min(horizon);
-            fleet.run_until(target);
-            let progress = fleet.progress();
-            self.park(fleet);
-            self.publish_slice(progress);
-            return StepOutcome::Again;
-        }
-        // Row complete: record its final checkpoint + report, then build
-        // the next row (the slot stays empty only inside this window,
-        // which is what keeps cursor observations consistent).
+    /// A sweep row reached its horizon: record its final checkpoint and
+    /// report, then build the next row (the slot stays empty only inside
+    /// this window, which is what keeps cursor observations consistent).
+    fn next_row(&self, fleet: Fleet, fleet_metrics: &Option<Arc<FleetMetrics>>) -> StepOutcome {
         let blob = fleet.checkpoint();
         let report = fleet.report();
         drop(fleet);
-        let (next_row, total, next_config) = {
+        let next = {
             let mut book = lock(&self.book);
             book.done_blobs.push(blob);
             book.done_reports.push(report);
-            book.row += 1;
-            let config = (book.row < book.total).then(|| book.row_config(book.row));
-            (book.row, book.total, config)
+            book.configs.get(book.done_blobs.len()).cloned()
         };
-        if next_row >= total {
-            self.finish_sweep();
-            return StepOutcome::Terminal;
+        match next {
+            Some(config) => {
+                self.launch(config, fleet_metrics);
+                StepOutcome::Again
+            }
+            None => {
+                self.finish_sweep();
+                StepOutcome::Terminal
+            }
         }
-        let mut config = next_config.expect("next row is inside the grid");
-        config.threads = params.threads;
-        let mut next = Fleet::new(config);
-        next.set_metrics(fleet_metrics.clone());
-        let progress = next.progress();
-        self.park(next);
-        self.publish_slice(progress);
-        StepOutcome::Again
     }
 
-    /// Assemble the final sweep result ([`E16Result`] or [`E18Result`],
-    /// per the book's flavor) from the completed rows and retire the
-    /// sweep. Stats are zeroed: the daemon path builds rows directly
-    /// instead of going through the pooled dispatcher, and the wire
-    /// format omits stats either way.
+    /// Retire a sweep whose every row is complete.
     fn finish_sweep(&self) {
-        let result = {
-            let book = lock(&self.book);
-            let resolvers = book.resolvers.max(1);
-            match book.flavor {
-                SweepFlavor::E16 => {
-                    let rows: Vec<E16Row> = book
-                        .done_reports
-                        .iter()
-                        .enumerate()
-                        .map(|(k, report)| E16Row {
-                            poisoned_resolvers: k,
-                            poisoned_fraction: k as f64 / resolvers as f64,
-                            report: report.clone(),
-                        })
-                        .collect();
-                    SweepOutcome::E16(e16_result_from_rows(resolvers, rows, SweepStats::default()))
-                }
-                SweepFlavor::E18 => {
-                    let rows: Vec<E18Row> = e18_grid(resolvers)
-                        .iter()
-                        .zip(book.done_reports.iter())
-                        .map(|(&(deployment, poisoned), report)| E18Row {
-                            deployment,
-                            poisoned_resolvers: poisoned,
-                            poisoned_fraction: poisoned as f64 / resolvers as f64,
-                            report: report.clone(),
-                        })
-                        .collect();
-                    SweepOutcome::E18(e18_result_from_rows(resolvers, rows, SweepStats::default()))
-                }
-            }
-        };
-        *lock(&self.sweep_result) = Some(result);
         *lock(&self.worker) = WorkerState::Finished;
-        {
-            let book = lock(&self.book);
-            let mut status = lock(&self.status);
-            status.sweep_rows = Some((book.row, book.total));
-        }
+        let rows = lock(&self.book).rows();
+        lock(&self.status).sweep_rows = rows;
         self.set_state(JobState::Done, None);
     }
 }
 
 /// Restore every checkpoint a sweep cursor carries: the completed
-/// rows' reports and the current row's fleet (`None` once the grid is
-/// complete).
+/// rows' reports and the current row's fleet (`None` once every row is
+/// complete). Each checkpoint must belong to its row's configuration
+/// (threads aside).
 fn restore_cursor(
     cursor: SweepCursor,
     fleet_metrics: Option<Arc<FleetMetrics>>,
 ) -> Result<(SweepBook, Option<Fleet>), String> {
-    let total = cursor.flavor.total_rows(cursor.resolvers);
-    if cursor.row > total || (cursor.row < total) != cursor.current.is_some() {
+    let SweepCursor {
+        configs,
+        done,
+        current,
+    } = cursor;
+    if done.len() > configs.len() || (done.len() < configs.len()) != current.is_some() {
         return Err("cursor row count inconsistent with payload".to_string());
     }
-    let done_reports = cursor
-        .done
+    let restore = |k: usize, blob: &[u8], metrics| {
+        let fleet = Fleet::restore_with(blob, metrics)
+            .map_err(|e| format!("row {k} checkpoint rejected: {e}"))?;
+        let expected = &configs[k];
+        if (FleetConfig {
+            threads: expected.threads,
+            ..fleet.config().clone()
+        }) != *expected
+        {
+            return Err(format!(
+                "row {k} checkpoint belongs to a different configuration"
+            ));
+        }
+        Ok(fleet)
+    };
+    let done_reports = done
         .iter()
         .enumerate()
-        .map(|(k, blob)| {
-            Fleet::restore(blob)
-                .map(|fleet| fleet.report())
-                .map_err(|e| format!("completed row {k} checkpoint rejected: {e}"))
-        })
+        .map(|(k, blob)| restore(k, blob, None).map(|fleet| fleet.report()))
         .collect::<Result<Vec<_>, _>>()?;
-    let current = cursor
-        .current
-        .map(|blob| {
-            Fleet::restore_with(&blob, fleet_metrics)
-                .map_err(|e| format!("current row checkpoint rejected: {e}"))
-        })
+    let current = current
+        .map(|blob| restore(done.len(), &blob, fleet_metrics))
         .transpose()?;
     let book = SweepBook {
-        flavor: cursor.flavor,
-        seed: cursor.seed,
-        clients: cursor.clients,
-        resolvers: cursor.resolvers,
-        total,
-        row: cursor.row,
-        done_blobs: cursor.done,
+        configs,
+        done_blobs: done,
         done_reports,
     };
     Ok((book, current))
@@ -1374,13 +1259,12 @@ impl JobTable {
         state: JobState,
         slices: u64,
     ) -> Result<Arc<Job>, String> {
-        let horizon = SimTime::ZERO + fleet.config().horizon;
         let job = self.register(
             name,
             static_kind(kind_label),
             spec_json,
             params,
-            WorkerState::FleetRun { horizon },
+            WorkerState::Running,
         )?;
         self.install(&job, fleet, state, slices);
         Ok(job)
@@ -1410,7 +1294,7 @@ impl JobTable {
             static_kind(kind_label),
             spec_json,
             params,
-            WorkerState::SweepRun,
+            WorkerState::Running,
         )?;
         *lock(&job.book) = book;
         match current {
@@ -1441,7 +1325,7 @@ impl JobTable {
             status.state = if run { JobState::Running } else { state };
             status.progress = Some(progress);
             status.slices = slices;
-            status.sweep_rows = (book.total > 0).then_some((book.row, book.total));
+            status.sweep_rows = book.rows();
         }
         job.status_cv.notify_all();
         if run {
@@ -1529,6 +1413,10 @@ impl JobTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chronos_pitfalls::experiments::{
+        e16_result_from_rows, e18_result_from_rows, run_e16, run_e18, E16Row, E18Row,
+    };
+    use chronos_pitfalls::montecarlo::SweepStats;
 
     fn parse(spec: &str) -> Submission {
         JobSpec::from_json(&Json::parse(spec).expect("spec literal")).expect("spec parses")
@@ -1646,6 +1534,8 @@ mod tests {
             r#"{"kind":"e18-fleet","deployment":1.5}"#,
             r#"{"kind":"e16-sweep","threads":"two"}"#,
             r#"{"kind":"e16-fleet","pause_at_s":-1}"#,
+            // The grid grows with `resolvers`, so sweeps bound it.
+            r#"{"kind":"e16-sweep","resolvers":1000000}"#,
         ] {
             let spec = Json::parse(bad).expect("spec literal");
             assert!(JobSpec::from_json(&spec).is_err(), "{bad} should fail");
@@ -1654,11 +1544,7 @@ mod tests {
         // its name is registered.
         let table = JobTable::with_workers(1);
         let cursor = SweepCursor {
-            flavor: SweepFlavor::E16,
-            seed: 7,
-            clients: 16,
-            resolvers: 2,
-            row: 0,
+            configs: (0..=2).map(|k| e16_config(7, 16, 2, k)).collect(),
             done: Vec::new(),
             current: Some(b"junk".to_vec()),
         };
@@ -1722,13 +1608,28 @@ mod tests {
             .unwrap();
         let snap = wait_for(&job, JobState::Done);
         assert_eq!(snap.sweep_rows, Some((3, 3)));
-        let SweepOutcome::E16(result) = job.sweep_result().expect("sweep result") else {
-            panic!("e16 sweep produced a non-e16 outcome");
-        };
-        let batch = chronos_pitfalls::experiments::run_e16(7, 16, 2, 1);
+        assert_e16_matches_batch(&job);
+        table.stop_all_and_join();
+    }
+
+    /// The figure assembled from a done sweep's row reports equals the
+    /// batch runner's rows and series.
+    fn assert_e16_matches_batch(job: &Job) {
+        let rows = job
+            .sweep_reports()
+            .expect("sweep is done")
+            .into_iter()
+            .enumerate()
+            .map(|(k, report)| E16Row {
+                poisoned_resolvers: k,
+                poisoned_fraction: k as f64 / 2.0,
+                report,
+            })
+            .collect();
+        let result = e16_result_from_rows(2, rows, SweepStats::default());
+        let batch = run_e16(7, 16, 2, 1);
         assert_eq!(result.rows, batch.rows);
         assert_eq!(result.series, batch.series);
-        table.stop_all_and_join();
     }
 
     #[test]
@@ -1756,7 +1657,7 @@ mod tests {
                     slice_s: 1_000,
                     ..Params::default()
                 },
-                crate::sweep::decode(&cursor).unwrap(),
+                SweepCursor::decode(&cursor).unwrap(),
                 JobState::Queued,
                 0,
             )
@@ -1764,12 +1665,7 @@ mod tests {
         assert!(resumed.is_sweep());
         assert_eq!(resumed.snapshot().sweep_rows, Some((1, 3)));
         wait_for(&resumed, JobState::Done);
-        let SweepOutcome::E16(result) = resumed.sweep_result().expect("sweep result") else {
-            panic!("resumed e16 sweep produced a non-e16 outcome");
-        };
-        let batch = chronos_pitfalls::experiments::run_e16(7, 16, 2, 1);
-        assert_eq!(result.rows, batch.rows);
-        assert_eq!(result.series, batch.series);
+        assert_e16_matches_batch(&resumed);
         table.stop_all_and_join();
     }
 
@@ -1780,12 +1676,20 @@ mod tests {
             .submit("e18-sweep", small_sweep("e18-sweep", None))
             .unwrap();
         let snap = wait_for(&job, JobState::Done);
-        let total = e18_grid(2).len();
-        assert_eq!(snap.sweep_rows, Some((total, total)));
-        let SweepOutcome::E18(result) = job.sweep_result().expect("sweep result") else {
-            panic!("e18 sweep produced a non-e18 outcome");
-        };
-        let batch = chronos_pitfalls::experiments::run_e18(7, 16, 2, 1);
+        let grid = e18_grid(2);
+        assert_eq!(snap.sweep_rows, Some((grid.len(), grid.len())));
+        let rows = grid
+            .into_iter()
+            .zip(job.sweep_reports().expect("sweep is done"))
+            .map(|((deployment, k), report)| E18Row {
+                deployment,
+                poisoned_resolvers: k,
+                poisoned_fraction: k as f64 / 2.0,
+                report,
+            })
+            .collect();
+        let result = e18_result_from_rows(2, rows, SweepStats::default());
+        let batch = run_e18(7, 16, 2, 1);
         assert_eq!(result.rows, batch.rows);
         assert_eq!(result.series, batch.series);
         table.stop_all_and_join();
@@ -1877,5 +1781,25 @@ mod tests {
         config.threads = 3;
         assert_eq!(e18.spec, JobSpec::Fleet(Box::new(config)));
         assert_eq!(e18.params.pause_at_s, Some(900));
+        // Sweeps resolve to exactly the row configurations `run_e16` and
+        // `run_e18` step, with the job's thread count.
+        let threaded = |mut config: FleetConfig| {
+            config.threads = 2;
+            config
+        };
+        let e16_rows: Vec<FleetConfig> =
+            (0..=3).map(|k| threaded(e16_config(5, 40, 3, k))).collect();
+        assert_eq!(
+            parse(r#"{"kind":"e16-sweep","seed":5,"clients":40,"resolvers":3,"threads":2}"#).spec,
+            JobSpec::Sweep(e16_rows)
+        );
+        let e18_rows: Vec<FleetConfig> = e18_grid(4)
+            .into_iter()
+            .map(|(deployment, k)| threaded(e18_config(7, 1_000, 4, deployment, k)))
+            .collect();
+        assert_eq!(
+            parse(r#"{"kind":"e18-sweep","threads":2}"#).spec,
+            JobSpec::Sweep(e18_rows)
+        );
     }
 }

@@ -28,9 +28,11 @@
 //! `service_mode` example and the smoke tests), [`metrics`] (the
 //! chronoscope layer: the metric registry behind the `metrics` command,
 //! per-job gauges, and the structured logger that replaces the daemon's
-//! formerly silent failure paths), [`sweep`] (the `SWP1` sweep-cursor
-//! codec), [`state`] (the `--state-dir` durability layer: checksummed
-//! manifest, periodic snapshots, resume-on-boot with quarantine).
+//! formerly silent failure paths), [`state`] (the `--state-dir`
+//! durability layer: checksummed manifest, periodic snapshots,
+//! resume-on-boot with quarantine). The binary formats a job persists —
+//! `CHR1` fleet checkpoints and `SWP1` sweep cursors — are owned by
+//! [`fleet::checkpoint`].
 
 #![warn(missing_docs)]
 
@@ -41,12 +43,10 @@ pub mod json;
 pub mod metrics;
 pub mod render;
 pub mod state;
-pub mod sweep;
 
 pub use client::{Client, ClientError};
 pub use daemon::{Daemon, DaemonConfig, PROTOCOL_VERSION};
-pub use jobs::{Job, JobSnapshot, JobSpec, JobState, JobTable, Submission, SweepOutcome};
+pub use jobs::{Job, JobSnapshot, JobSpec, JobState, JobTable, Submission};
 pub use json::Json;
 pub use metrics::{DaemonObs, JobMetrics, LOG_ENV};
 pub use state::StateDir;
-pub use sweep::{SweepCursor, SweepFlavor};

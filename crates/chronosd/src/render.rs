@@ -11,7 +11,6 @@
 
 use crate::json::Json;
 use chronos::core::ChronosStats;
-use chronos_pitfalls::experiments::{E16Result, E18Result};
 use fleet::engine::{FleetProgress, FleetReport, TierBreakdown};
 use fleet::stats::{FaultCounters, OffsetHistogram, SecureCounters};
 
@@ -85,66 +84,6 @@ pub fn progress_json(progress: &FleetProgress) -> Json {
                     ])
                 })
                 .unwrap_or(Json::Null),
-        ),
-    ])
-}
-
-/// Render an [`E16Result`]: the resolver count plus one row (poisoned
-/// count, poisoned fraction, full [`FleetReport`]) per sweep point. The
-/// figure-ready series and pooling counters are recomputable from the
-/// rows and are omitted from the wire format.
-pub fn sweep_json(result: &E16Result) -> Json {
-    Json::Obj(vec![
-        ("resolvers".into(), Json::usize(result.resolvers)),
-        (
-            "rows".into(),
-            Json::Arr(
-                result
-                    .rows
-                    .iter()
-                    .map(|row| {
-                        Json::Obj(vec![
-                            (
-                                "poisoned_resolvers".into(),
-                                Json::usize(row.poisoned_resolvers),
-                            ),
-                            ("poisoned_fraction".into(), Json::f64(row.poisoned_fraction)),
-                            ("report".into(), report_json(&row.report)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Render an [`E18Result`]: the resolver count plus one row (deployment
-/// fraction, poisoned count/fraction, full [`FleetReport`]) per grid
-/// point. Like [`sweep_json`], the figure-ready series are recomputable
-/// from the rows ([`chronos_pitfalls::experiments::e18_result_from_rows`])
-/// and are omitted from the wire format.
-pub fn e18_sweep_json(result: &E18Result) -> Json {
-    Json::Obj(vec![
-        ("resolvers".into(), Json::usize(result.resolvers)),
-        (
-            "rows".into(),
-            Json::Arr(
-                result
-                    .rows
-                    .iter()
-                    .map(|row| {
-                        Json::Obj(vec![
-                            ("deployment".into(), Json::f64(row.deployment)),
-                            (
-                                "poisoned_resolvers".into(),
-                                Json::usize(row.poisoned_resolvers),
-                            ),
-                            ("poisoned_fraction".into(), Json::f64(row.poisoned_fraction)),
-                            ("report".into(), report_json(&row.report)),
-                        ])
-                    })
-                    .collect(),
-            ),
         ),
     ])
 }

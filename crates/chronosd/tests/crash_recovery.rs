@@ -9,16 +9,21 @@
 //! boot with no operator involvement. A fourth covers the manifest rows
 //! that carry no simulation of their own: a still-queued job resubmits
 //! from its normalized spec, and a resumed job reboots from its state
-//! file alone.
+//! file alone. A fifth boots a state dir holding a version-2 sweep
+//! cursor: the job comes back `failed` and quarantined, and the daemon
+//! keeps serving.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use chronos_pitfalls::experiments::e16_config;
 use chronosd::jobs::Params;
 use chronosd::json::Json;
-use chronosd::render::{report_json, sweep_json};
+use chronosd::render::report_json;
 use chronosd::state::ManifestEntry;
 use chronosd::{Client, Daemon, DaemonConfig, DaemonObs, JobSpec, JobState, StateDir};
+use fleet::checkpoint::checksum;
+use fleet::Fleet;
 
 const SEED: u64 = 7;
 const CLIENTS: usize = 24;
@@ -213,10 +218,18 @@ fn sweep_job_survives_a_simulated_crash_byte_identically() {
     client.request("shutdown", Vec::new()).expect("shutdown");
     second.join().expect("second daemon exits");
 
-    // The uninterrupted batch sweep renders byte-identically (the wire
-    // format deliberately omits derived series/stats).
+    // The payload is the rows' reports, each byte-identical to the
+    // uninterrupted batch sweep's row.
     let batch = chronos_pitfalls::experiments::run_e16(SEED, 16, RESOLVERS, 1);
-    assert_eq!(daemon_line, sweep_json(&batch).render());
+    let rows = batch
+        .rows
+        .iter()
+        .map(|row| report_json(&row.report))
+        .collect();
+    assert_eq!(
+        daemon_line,
+        Json::Obj(vec![("rows".into(), Json::Arr(rows))]).render()
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&frozen);
@@ -403,4 +416,79 @@ fn queued_and_resumed_entries_reboot_from_their_manifest_rows() {
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
+fn version_2_sweep_cursor_boots_as_a_failed_quarantined_job() {
+    let socket = scratch("v2.sock");
+    let dir = scratch("v2-state");
+    let _ = std::fs::remove_dir_all(&dir);
+    let state = StateDir::open(&dir).expect("open state dir");
+
+    // A paused e16-sweep whose cursor is in the version-2 layout: flavor
+    // byte, seed, clients, resolvers, row and done count, then row 0's
+    // live checkpoint.
+    let mut bytes = b"SWP1".to_vec();
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.push(0);
+    for v in [SEED, 16, RESOLVERS as u64, 0, 0] {
+        bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    let current = Fleet::new(e16_config(SEED, 16, RESOLVERS, 0)).checkpoint();
+    bytes.push(1);
+    bytes.extend_from_slice(&(current.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&current);
+    let sum = checksum(&bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    let file = StateDir::job_file_name("old-grid");
+    state
+        .write_job_file(&file, &bytes)
+        .expect("plant v2 cursor");
+    let spec = format!(
+        r#"{{"kind":"e16-sweep","seed":{SEED},"clients":16,"resolvers":{RESOLVERS},"pause_at_row":0}}"#
+    );
+    let submission = JobSpec::from_json(&Json::parse(&spec).unwrap()).expect("spec parses");
+    let entry = ManifestEntry {
+        name: "old-grid".to_string(),
+        kind: "e16-sweep".to_string(),
+        state: JobState::Paused,
+        error: None,
+        params: submission.params,
+        slices: 1,
+        file: Some(file.clone()),
+        spec: submission.normalized,
+    };
+    state.write_manifest(&[entry]).expect("write manifest");
+    drop(state);
+
+    let (handle, mut client) = boot(&socket, &dir, None);
+    let status = client
+        .request("status", vec![("name".into(), Json::str("old-grid"))])
+        .expect("adopted job answers status");
+    assert_eq!(
+        status.get("state").and_then(Json::as_str),
+        Some("failed"),
+        "v2 cursor must adopt as failed: {}",
+        status.render()
+    );
+    let error = status
+        .get("error")
+        .and_then(Json::as_str)
+        .expect("failed job records why");
+    assert!(
+        error.contains("quarantined")
+            && error.contains("unsupported checkpoint version 2 (expected 3)"),
+        "error does not name the quarantine and versions: {error}"
+    );
+    assert!(
+        dir.join("quarantine").join(&file).exists(),
+        "v2 cursor was not quarantined"
+    );
+
+    // The daemon keeps serving.
+    let pong = client.request("ping", Vec::new()).expect("still alive");
+    assert_eq!(pong.get("jobs").and_then(Json::as_u64), Some(1));
+    client.request("shutdown", Vec::new()).expect("shutdown");
+    handle.join().expect("daemon exits");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,8 +4,8 @@
 //! **fresh** daemon, resume from the file, and assert the final report
 //! is byte-identical to the batch `run_e16` output for the same
 //! parameters. The other cases pin the failure paths a client can reach:
-//! protocol errors, checkpoint files that do not decode, and over-long
-//! request lines.
+//! protocol errors, checkpoint files that do not decode, forged sweep
+//! cursors, and over-long request lines.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -17,7 +17,8 @@ use chronosd::daemon::MAX_REQUEST_BYTES;
 use chronosd::json::Json;
 use chronosd::render::report_json;
 use chronosd::{Client, Daemon};
-use fleet::Fleet;
+use fleet::checkpoint::SweepCursor;
+use fleet::{Fleet, FleetConfig};
 use netsim::time::SimTime;
 
 const SEED: u64 = 7;
@@ -291,20 +292,49 @@ fn undecodable_checkpoints_are_rejected_synchronously() {
         "forged count restores"
     );
     std::fs::write(&forged, &forged_bytes).expect("write forged");
+    // Sweep cursors whose row 0 checkpoint comes from another seed, or
+    // whose later row fails `FleetConfig::validate`.
+    let configs: Vec<FleetConfig> = (0..=RESOLVERS)
+        .map(|k| e16_config(SEED, CLIENTS, RESOLVERS, k))
+        .collect();
+    let other_seed = SweepCursor {
+        configs: configs.clone(),
+        done: Vec::new(),
+        current: Some(Fleet::new(e16_config(SEED + 1, CLIENTS, RESOLVERS, 0)).checkpoint()),
+    };
+    let mut invalid_row = SweepCursor {
+        current: Some(Fleet::new(configs[0].clone()).checkpoint()),
+        ..other_seed.clone()
+    };
+    invalid_row.configs[2].clients = 0;
+    let other_seed_path = scratch("other-seed.swp");
+    let invalid_row_path = scratch("invalid-row.swp");
+    std::fs::write(&other_seed_path, other_seed.encode()).expect("write cursor");
+    std::fs::write(&invalid_row_path, invalid_row.encode()).expect("write cursor");
 
     let handle = boot(&socket);
     let mut client = Client::connect(&socket).expect("connect");
-    for (name, path) in [("from-junk", &junk), ("from-forged", &forged)] {
+    for (name, path, why) in [
+        ("from-junk", &junk, "checkpoint rejected"),
+        ("from-forged", &forged, "checkpoint rejected"),
+        (
+            "other-seed",
+            &other_seed_path,
+            "sweep cursor rejected: row 0 checkpoint belongs to a different configuration",
+        ),
+        (
+            "invalid-row",
+            &invalid_row_path,
+            "sweep cursor rejected: corrupt checkpoint: configuration fails validation",
+        ),
+    ] {
         let request = Json::Obj(vec![
             ("cmd".into(), Json::str("resume")),
             ("name".into(), Json::str(name)),
             ("path".into(), Json::str(path.display().to_string())),
         ]);
         let error = client.request_raw(&request).expect_err("resume must fail");
-        assert!(
-            error.to_string().contains("checkpoint rejected"),
-            "{name}: {error}"
-        );
+        assert!(error.to_string().contains(why), "{name}: {error}");
         // No job was registered under the name.
         assert!(client
             .request("status", vec![("name".into(), Json::str(name))])
@@ -315,8 +345,9 @@ fn undecodable_checkpoints_are_rejected_synchronously() {
 
     client.request("shutdown", Vec::new()).expect("shutdown");
     handle.join().expect("daemon exits");
-    let _ = std::fs::remove_file(&junk);
-    let _ = std::fs::remove_file(&forged);
+    for path in [junk, forged, other_seed_path, invalid_row_path] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]

@@ -18,11 +18,12 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use chronos_pitfalls::experiments::{e16_config, e17_config, e18_config};
 use chronosd::json::Json;
 use chronosd::state::{decode_manifest, encode_manifest, ManifestEntry};
-use chronosd::sweep::{decode, encode};
-use chronosd::{Client, Daemon, DaemonConfig, DaemonObs, StateDir, SweepCursor, SweepFlavor};
-use fleet::checkpoint::CheckpointError;
+use chronosd::{Client, Daemon, DaemonConfig, DaemonObs, StateDir};
+use fleet::checkpoint::{CheckpointError, SweepCursor};
+use fleet::FleetConfig;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -97,35 +98,37 @@ fn entry_strategy() -> impl Strategy<Value = ManifestEntry> {
         )
 }
 
+/// One row configuration: an E16, E17 or E18 preset point, so the
+/// codec sees every tier kind and a fault plan.
+fn row_config_strategy() -> impl Strategy<Value = FleetConfig> {
+    (0u64..1_000, 1usize..5_000, 1usize..=6, 0u8..7).prop_map(
+        |(seed, clients, resolvers, preset)| {
+            let k = seed as usize % (resolvers + 1);
+            match preset {
+                0 => e16_config(seed, clients, resolvers, k),
+                1 => e17_config(seed, clients, resolvers, 0.05, k),
+                d => e18_config(seed, clients, resolvers, f64::from(d - 2) / 4.0, k),
+            }
+        },
+    )
+}
+
 fn cursor_strategy() -> impl Strategy<Value = SweepCursor> {
     (
-        any::<bool>(),
-        0u64..1_000,
-        1usize..5_000,
-        1usize..=6,
-        0usize..=12,
-        vec(vec(any::<u8>(), 0..40), 0..13),
+        vec(row_config_strategy(), 1..8),
+        0usize..=8,
+        vec(vec(any::<u8>(), 0..40), 0..9),
         vec(any::<u8>(), 0..40),
     )
-        .prop_map(|(e18, seed, clients, resolvers, row, blobs, live)| {
-            // Make the cursor structurally valid: row within the grid,
-            // exactly `row` done blobs, a current blob iff incomplete.
-            let flavor = if e18 {
-                SweepFlavor::E18
-            } else {
-                SweepFlavor::E16
-            };
-            let total = flavor.total_rows(resolvers);
-            let row = row.min(total);
+        .prop_map(|(configs, done, blobs, live)| {
+            // Make the cursor structurally valid: at most one done blob
+            // per row, and a current blob iff a row is left.
+            let done_rows = done.min(configs.len());
             let mut done = blobs;
-            done.resize(row, vec![0xAB; 7]);
-            let current = (row < total).then_some(live);
+            done.resize(done_rows, vec![0xAB; 7]);
+            let current = (done_rows < configs.len()).then_some(live);
             SweepCursor {
-                flavor,
-                seed,
-                clients,
-                resolvers,
-                row,
+                configs,
                 done,
                 current,
             }
@@ -191,7 +194,7 @@ proptest! {
     /// cursors (including complete ones with no current row).
     #[test]
     fn sweep_cursor_round_trips(cursor in cursor_strategy()) {
-        prop_assert_eq!(decode(&encode(&cursor)), Ok(cursor));
+        prop_assert_eq!(SweepCursor::decode(&cursor.encode()), Ok(cursor));
     }
 
     /// Truncating or flipping a cursor is rejected with the taxonomy —
@@ -204,10 +207,10 @@ proptest! {
         bit in 0u8..8,
         truncate in any::<bool>(),
     ) {
-        let bytes = encode(&cursor);
+        let bytes = cursor.encode();
         if truncate {
             let cut = (bytes.len() - 1) * frac as usize / 1_000;
-            let decoded = decode(&bytes[..cut]);
+            let decoded = SweepCursor::decode(&bytes[..cut]);
             prop_assert!(
                 matches!(
                     decoded,
@@ -219,7 +222,7 @@ proptest! {
             let mut bytes = bytes;
             let at = (bytes.len() - 1) * frac as usize / 1_000;
             bytes[at] ^= 1 << bit;
-            let decoded = decode(&bytes);
+            let decoded = SweepCursor::decode(&bytes);
             prop_assert!(
                 matches!(
                     decoded,

@@ -31,7 +31,9 @@
 //! length-prefixed (u32 for element counts, u64 for nanosecond values).
 //! The per-shard encoding lives in `engine.rs` (the columns are private
 //! to the engine); this module owns the primitive writer/reader, the
-//! error type and the [`FleetConfig`] codec.
+//! error type, the [`FleetConfig`] codec and the `SWP1` sweep cursor
+//! ([`SweepCursor`]), which stores a list of row configurations and the
+//! rows' `CHR1` checkpoints with the same primitives and trailer.
 
 use crate::cohort::{ClientKind, CohortTier};
 use crate::config::{
@@ -58,7 +60,12 @@ pub enum CheckpointError {
     /// The first four bytes are not [`MAGIC`] — not a checkpoint.
     BadMagic,
     /// A checkpoint from a different format version.
-    BadVersion(u32),
+    BadVersion {
+        /// The version the bytes carry.
+        found: u32,
+        /// The version this build reads.
+        expected: u32,
+    },
     /// The trailing checksum does not match the payload.
     BadChecksum,
     /// Structurally well-formed but semantically impossible (an enum tag
@@ -71,8 +78,11 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::Truncated => write!(f, "checkpoint truncated"),
             CheckpointError::BadMagic => write!(f, "not a fleet checkpoint (bad magic)"),
-            CheckpointError::BadVersion(v) => {
-                write!(f, "unsupported checkpoint version {v} (expected {VERSION})")
+            CheckpointError::BadVersion { found, expected } => {
+                write!(
+                    f,
+                    "unsupported checkpoint version {found} (expected {expected})"
+                )
             }
             CheckpointError::BadChecksum => write!(f, "checkpoint checksum mismatch"),
             CheckpointError::Corrupt(what) => write!(f, "corrupt checkpoint: {what}"),
@@ -240,9 +250,9 @@ impl<'a> Reader<'a> {
 
 /// XOR-fold checksum over 8-byte lanes: cheap, order-sensitive enough to
 /// catch truncation and bit rot (the failure modes of a file on disk —
-/// this is an integrity check, not an authenticator). Public so sibling
-/// on-disk formats (chronosd's `SWP1` sweep cursor and `CHRM1` job
-/// manifest) share the same integrity trailer as `CHR1`.
+/// this is an integrity check, not an authenticator). Public so
+/// chronosd's `CHRM1` job manifest shares the trailer `CHR1` and `SWP1`
+/// use.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut acc = 0xc0de_c0de_c0de_c0deu64 ^ (bytes.len() as u64);
     let mut chunks = bytes.chunks_exact(8);
@@ -563,6 +573,146 @@ pub(crate) fn get_config(r: &mut Reader<'_>) -> Result<FleetConfig, CheckpointEr
     })
 }
 
+// --- SWP1: sweep cursors ---
+
+/// First bytes of every sweep cursor.
+pub const SWEEP_MAGIC: [u8; 4] = *b"SWP1";
+
+/// Current sweep-cursor version; other versions are rejected. Version 3
+/// stores every row's [`FleetConfig`] in place of version 2's experiment
+/// flavor byte and grid parameters.
+pub const SWEEP_VERSION: u32 = 3;
+
+/// The durable state of a sweep: a list of fleet runs (*rows*) stepped
+/// in order. Restoring a completed row's checkpoint and calling
+/// `report()` reproduces that row's report byte-identically, so a resumed
+/// sweep recomputes nothing.
+///
+/// ```text
+/// magic    b"SWP1"             4 bytes
+/// version  u32                 currently 3
+/// configs  u32 + FleetConfig…  every row, `threads` written as 1
+/// done     u32 + (u64 + CHR1)… final checkpoint of each completed row
+/// current  u8 flag [+ u64 + CHR1]  the row stepping now, iff done < configs
+/// trailer  u64                 XOR-fold checksum of everything above
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepCursor {
+    /// Every row's configuration, in row order.
+    pub configs: Vec<FleetConfig>,
+    /// The final `CHR1` checkpoint of each completed row, in row order.
+    pub done: Vec<Vec<u8>>,
+    /// The live `CHR1` checkpoint of row `done.len()`; `None` once every
+    /// row is complete.
+    pub current: Option<Vec<u8>>,
+}
+
+fn put_blob(w: &mut Writer, blob: &[u8]) {
+    w.u64(blob.len() as u64);
+    w.bytes(blob);
+}
+
+fn get_blob(r: &mut Reader<'_>) -> Result<Vec<u8>, CheckpointError> {
+    let n = usize::try_from(r.u64()?).map_err(|_| CheckpointError::Truncated)?;
+    Ok(r.take(n)?.to_vec())
+}
+
+impl SweepCursor {
+    /// Serializes the cursor as `SWP1` bytes. Each row's configuration is
+    /// written with `threads = 1`: threads is a scheduling knob, not part
+    /// of a row's identity.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.bytes(&SWEEP_MAGIC);
+        w.u32(SWEEP_VERSION);
+        w.len(self.configs.len());
+        for config in &self.configs {
+            put_config(
+                &mut w,
+                &FleetConfig {
+                    threads: 1,
+                    ..config.clone()
+                },
+            );
+        }
+        w.len(self.done.len());
+        for blob in &self.done {
+            put_blob(&mut w, blob);
+        }
+        match &self.current {
+            None => w.u8(0),
+            Some(blob) => {
+                w.u8(1);
+                put_blob(&mut w, blob);
+            }
+        }
+        w.finish()
+    }
+
+    /// Decodes `SWP1` bytes with the `CHR1` error taxonomy: the checksum
+    /// is verified before any field is trusted, every row configuration
+    /// must pass [`FleetConfig::validate`], and row counts that disagree
+    /// with the payload are [`CheckpointError::Corrupt`]. The embedded
+    /// `CHR1` blobs are *not* decoded here: callers restore them through
+    /// [`Fleet::restore`](crate::engine::Fleet::restore), which
+    /// revalidates each one.
+    pub fn decode(bytes: &[u8]) -> Result<SweepCursor, CheckpointError> {
+        if bytes.len() < SWEEP_MAGIC.len() {
+            return Err(CheckpointError::Truncated);
+        }
+        if bytes[..SWEEP_MAGIC.len()] != SWEEP_MAGIC {
+            return Err(CheckpointError::BadMagic);
+        }
+        let mut r = Reader::verified(bytes)?;
+        r.take(SWEEP_MAGIC.len())?;
+        let version = r.u32()?;
+        if version != SWEEP_VERSION {
+            return Err(CheckpointError::BadVersion {
+                found: version,
+                expected: SWEEP_VERSION,
+            });
+        }
+        let configs = (0..r.len()?)
+            .map(|_| get_config(&mut r))
+            .collect::<Result<Vec<_>, _>>()?;
+        if configs.is_empty() {
+            return Err(CheckpointError::Corrupt("sweep has no rows"));
+        }
+        // A checksum proves integrity, not validity: a row that fails
+        // `validate` (which asserts) is refused here, not on a worker.
+        for config in &configs {
+            std::panic::catch_unwind(|| config.validate())
+                .map_err(|_| CheckpointError::Corrupt("configuration fails validation"))?;
+        }
+        let done = (0..r.len()?)
+            .map(|_| get_blob(&mut r))
+            .collect::<Result<Vec<_>, _>>()?;
+        let current = match r.u8()? {
+            0 => None,
+            1 => Some(get_blob(&mut r)?),
+            _ => return Err(CheckpointError::Corrupt("option tag out of range")),
+        };
+        if r.remaining() != 0 {
+            return Err(CheckpointError::Corrupt("trailing bytes after cursor"));
+        }
+        if done.len() > configs.len() {
+            return Err(CheckpointError::Corrupt(
+                "more completed rows than configurations",
+            ));
+        }
+        if (done.len() < configs.len()) != current.is_some() {
+            return Err(CheckpointError::Corrupt(
+                "current-row presence disagrees with the row count",
+            ));
+        }
+        Ok(SweepCursor {
+            configs,
+            done,
+            current,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,12 +854,132 @@ mod tests {
         assert_eq!(r.len().err(), Some(CheckpointError::Truncated));
     }
 
+    fn sample_cursor() -> SweepCursor {
+        SweepCursor {
+            configs: vec![
+                FleetConfig::default(),
+                rich_config(),
+                FleetConfig::default(),
+            ],
+            done: vec![vec![1, 2, 3, 4, 5]],
+            current: Some(vec![9, 8, 7]),
+        }
+    }
+
+    #[test]
+    fn sweep_cursor_round_trips() {
+        let cursor = sample_cursor();
+        assert_eq!(SweepCursor::decode(&cursor.encode()), Ok(cursor.clone()));
+        let complete = SweepCursor {
+            done: vec![vec![1], vec![2], vec![3]],
+            current: None,
+            ..cursor.clone()
+        };
+        assert_eq!(SweepCursor::decode(&complete.encode()), Ok(complete));
+        // Threads is a scheduling knob: it is written as 1.
+        let mut threaded = cursor.clone();
+        threaded.configs[1].threads = 4;
+        assert_eq!(SweepCursor::decode(&threaded.encode()), Ok(cursor));
+    }
+
+    #[test]
+    fn sweep_cursor_corruption_is_classified() {
+        let bytes = sample_cursor().encode();
+        let decode = SweepCursor::decode;
+        assert_eq!(decode(&bytes[..3]), Err(CheckpointError::Truncated));
+        assert_eq!(
+            decode(&bytes[..bytes.len() - 1]),
+            Err(CheckpointError::BadChecksum)
+        );
+        let mut flipped = bytes.clone();
+        flipped[10] ^= 0x40;
+        assert_eq!(decode(&flipped), Err(CheckpointError::BadChecksum));
+        let mut bad_magic = bytes.clone();
+        bad_magic[0] = b'X';
+        assert_eq!(decode(&bad_magic), Err(CheckpointError::BadMagic));
+    }
+
+    #[test]
+    fn sweep_cursor_structural_lies_are_corrupt_not_panics() {
+        // Each cursor is re-encoded, so its checksum holds: the structure
+        // itself must be refused, never trusted or panicked on.
+        let corrupt = |cursor: SweepCursor| match SweepCursor::decode(&cursor.encode()) {
+            Err(CheckpointError::Corrupt(what)) => what,
+            other => panic!("{cursor:?} decoded to {other:?}"),
+        };
+        let sample = sample_cursor();
+        let more_done = SweepCursor {
+            done: vec![Vec::new(); 4],
+            current: None,
+            ..sample.clone()
+        };
+        assert_eq!(
+            corrupt(more_done),
+            "more completed rows than configurations"
+        );
+        let complete_with_current = SweepCursor {
+            done: vec![Vec::new(); 3],
+            ..sample.clone()
+        };
+        let incomplete_without_current = SweepCursor {
+            current: None,
+            ..sample.clone()
+        };
+        for cursor in [complete_with_current, incomplete_without_current] {
+            assert_eq!(
+                corrupt(cursor),
+                "current-row presence disagrees with the row count"
+            );
+        }
+        let empty = SweepCursor {
+            configs: Vec::new(),
+            done: Vec::new(),
+            current: None,
+        };
+        assert_eq!(corrupt(empty), "sweep has no rows");
+        // A later row that `validate` rejects (it asserts) is refused at
+        // decode rather than panicking whoever builds that row.
+        let mut invalid = sample;
+        invalid.configs[2].clients = 0;
+        assert_eq!(corrupt(invalid), "configuration fails validation");
+    }
+
+    #[test]
+    fn version_2_sweep_cursor_is_refused_naming_both_versions() {
+        // The v2 layout: flavor byte, seed, clients, resolvers, row, then
+        // the blobs — here a mid-grid E16 cursor with nothing done yet.
+        let mut w = Writer::new();
+        w.bytes(&SWEEP_MAGIC);
+        w.u32(2);
+        w.u8(0);
+        for v in [7, 16, 2, 0, 0] {
+            w.u64(v);
+        }
+        w.u8(1);
+        put_blob(&mut w, &[1, 2, 3]);
+        let err = SweepCursor::decode(&w.finish()).unwrap_err();
+        assert_eq!(
+            err,
+            CheckpointError::BadVersion {
+                found: 2,
+                expected: 3
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "unsupported checkpoint version 2 (expected 3)"
+        );
+    }
+
     #[test]
     fn errors_render_distinctly() {
         let msgs: Vec<String> = [
             CheckpointError::Truncated,
             CheckpointError::BadMagic,
-            CheckpointError::BadVersion(9),
+            CheckpointError::BadVersion {
+                found: 9,
+                expected: VERSION,
+            },
             CheckpointError::BadChecksum,
             CheckpointError::Corrupt("tag"),
         ]

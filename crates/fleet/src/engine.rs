@@ -2455,7 +2455,10 @@ impl Fleet {
         }
         let version = r.u32()?;
         if version != checkpoint::VERSION {
-            return Err(CheckpointError::BadVersion(version));
+            return Err(CheckpointError::BadVersion {
+                found: version,
+                expected: checkpoint::VERSION,
+            });
         }
         let config = checkpoint::get_config(&mut r)?;
         // Every client's row takes far more than one byte, so a client
