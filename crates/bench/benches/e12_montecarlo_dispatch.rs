@@ -2,12 +2,15 @@
 //! runner vs the retained mutex-per-result baseline, on a 10 000-trial
 //! cheap-closure workload (the regime where dispatch overhead dominates),
 //! plus the allocation-free Chronos selection hot path vs its sort-based
-//! reference.
+//! reference, and the two kernels of every simulated poll round: the
+//! 15-sample selection (sorting network) and the per-sample jitter draw
+//! (`FleetRng::jitter_ns` vs the `normal(..) as i64` it replaces).
 
 use bench::banner;
 use chronos::select::{chronos_select_with, reference, SelectScratch};
 use chronos_pitfalls::montecarlo::{baseline_run_trials, run_trials, TrialBudget};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use fleet::rng::FleetRng;
 
 const TRIALS: u32 = 10_000;
 const THREADS: usize = 4;
@@ -102,8 +105,75 @@ fn bench_selection(c: &mut Criterion) {
             acc
         })
     });
+    // 10k distinct default-sized rounds (m = 15, d = 5) of the kind a
+    // fleet poll hands the selection: honest jitter around zero, a third
+    // of the slots shifted. Distinct rounds keep branchy code honest.
+    let mut rng = FleetRng::from_seed(12);
+    let rounds: Vec<[i64; 15]> = (0..10_000)
+        .map(|_| {
+            std::array::from_fn(|_| {
+                let shift = if rng.range_u64(3) == 0 { 80 * MS } else { 0 };
+                shift + rng.jitter_ns(500_000.0)
+            })
+        })
+        .collect();
+    for round in &rounds[..100] {
+        assert_eq!(
+            chronos_select_with(&mut scratch, round, 5, 25 * MS, 500 * MS),
+            reference::chronos_select_sorted(round, 5, 25 * MS, 500 * MS),
+        );
+    }
+    group.bench_function("network_15x10k", |bch| {
+        bch.iter(|| {
+            let mut acc = 0i64;
+            for round in black_box(&rounds) {
+                if let chronos::select::ChronosDecision::Accept { correction_ns, .. } =
+                    chronos_select_with(&mut scratch, round, 5, 25 * MS, 500 * MS)
+                {
+                    acc = acc.wrapping_add(correction_ns);
+                }
+            }
+            acc
+        })
+    });
     group.finish();
 }
 
-criterion_group!(benches, bench_dispatch, bench_selection);
+/// Draws per iteration of the jitter pair.
+const DRAWS: u64 = 1_000_000;
+
+fn bench_jitter(c: &mut Criterion) {
+    banner("E12 — per-sample jitter draw (certified fast path vs libm Box-Muller)");
+    let std_ns = 500_000.0; // the fleet default, 500 µs
+    let mut fast = FleetRng::from_seed(14);
+    let mut slow = fast;
+    for _ in 0..10_000 {
+        assert_eq!(fast.jitter_ns(std_ns), slow.normal(0.0, std_ns) as i64);
+    }
+
+    let mut group = c.benchmark_group("e12_jitter_draw");
+    group.sample_size(30);
+    group.throughput(Throughput::Elements(DRAWS));
+    group.bench_function("jitter_ns_1m", |bch| {
+        bch.iter(|| {
+            let mut acc = 0i64;
+            for _ in 0..DRAWS {
+                acc = acc.wrapping_add(fast.jitter_ns(black_box(std_ns)));
+            }
+            acc
+        })
+    });
+    group.bench_function("normal_as_i64_1m", |bch| {
+        bch.iter(|| {
+            let mut acc = 0i64;
+            for _ in 0..DRAWS {
+                acc = acc.wrapping_add(slow.normal(0.0, black_box(std_ns)) as i64);
+            }
+            acc
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_dispatch, bench_selection, bench_jitter);
 criterion_main!(benches);

@@ -19,10 +19,20 @@
 //!
 //! * take a caller-owned [`SelectScratch`] reused across rounds, so the
 //!   steady state performs **zero heap allocations**;
-//! * replace the full `sort_unstable` with two `select_nth_unstable`
-//!   partitions (O(n) instead of O(n log n)) — the decision only needs the
-//!   trimmed set's min, max and sum, all of which are order-free;
-//! * accumulate the survivor sum in one pass interleaved with min/max.
+//! * need only the trimmed set's min, max and sum, all order-free, and
+//!   pick the cheapest way to get them by round size:
+//!   - rounds of at most 16 samples (every Chronos, NTS and Roughtime
+//!     poll: m = 15 by default) are sorted in a stack array by a fixed
+//!     63-comparator Batcher network, each comparator a branch-free
+//!     min/max pair, so no data-dependent branch mispredicts;
+//!   - longer rounds with a trim of at most 16 take one pass tracking the
+//!     d+1 smallest and largest in stack arrays (`trim_scan`), entering a
+//!     tracker through fixed compare-exchanges instead of a branchy
+//!     insertion loop;
+//!   - larger trims (panic mode's n/3) take two `select_nth_unstable`
+//!     partitions, O(n) instead of a full sort;
+//! * divide for the mean in `i64` whenever the survivor sum fits, with the
+//!   `i128` division only as the overflow fallback.
 //!
 //! The original sort-based implementation is retained in [`mod@reference`] and
 //! property-tested to produce byte-identical decisions.
@@ -140,7 +150,9 @@ pub fn chronos_select_with(
         });
     }
     let survivors = offsets_ns.len() - 2 * trim;
-    let (min, max, sum) = if trim <= TRIM_SCAN_MAX {
+    let (min, max, sum) = if offsets_ns.len() <= NETWORK_MAX {
+        network_trim(offsets_ns, trim)
+    } else if trim <= TRIM_SCAN_MAX {
         // Small trim (the Chronos configuration, d ≈ m/3 of a 15-sample
         // round): one pass tracking the d+1 smallest and largest in stack
         // arrays — no copy, no permutation, no allocation ever.
@@ -150,18 +162,68 @@ pub fn chronos_select_with(
         let middle = trim_partition(buf, trim, trim);
         scan(middle)
     };
-    let spread = max - min;
+    let spread = max.saturating_sub(min);
     if spread > omega_ns {
         return ChronosDecision::Reject(RejectReason::Disagreement { spread_ns: spread });
     }
     let avg = mean_i64_parts(sum, survivors);
-    if avg.abs() > envelope_ns {
+    if outside_envelope(avg, envelope_ns) {
         return ChronosDecision::Reject(RejectReason::OutsideEnvelope { avg_ns: avg });
     }
     ChronosDecision::Accept {
         correction_ns: avg,
         survivors,
     }
+}
+
+/// Whether a survivor average lies farther than `envelope_ns` from the
+/// local clock. Exact for every `i64`: `|i64::MIN|` is out of range of
+/// `i64::abs` but exceeds any envelope.
+fn outside_envelope(avg_ns: i64, envelope_ns: i64) -> bool {
+    avg_ns.checked_abs().is_none_or(|a| a > envelope_ns)
+}
+
+/// Largest round sorted by the [`network_trim`] comparator network.
+const NETWORK_MAX: usize = 16;
+
+/// Min, max and sum of the samples left after discarding the `d` smallest
+/// and `d` largest of `xs` (at most [`NETWORK_MAX`] of them): pad a stack
+/// array with `i64::MAX`, sort it with [`sort16`], and read the survivors
+/// from `[d, len − d)`. The padding sorts behind every sample, so the
+/// first `len` slots are exactly `xs` sorted.
+fn network_trim(xs: &[i64], d: usize) -> (i64, i64, i128) {
+    debug_assert!(xs.len() <= NETWORK_MAX && xs.len() > 2 * d);
+    let mut v = [i64::MAX; NETWORK_MAX];
+    v[..xs.len()].copy_from_slice(xs);
+    sort16(&mut v);
+    let survivors = &v[d..xs.len() - d];
+    let sum = survivors.iter().map(|&x| i128::from(x)).sum();
+    (survivors[0], survivors[survivors.len() - 1], sum)
+}
+
+/// Sorts 16 values ascending with Batcher's odd–even merge network: 63
+/// compare-exchanges in 10 layers, each a branch-free min/max pair.
+#[inline]
+fn sort16(v: &mut [i64; NETWORK_MAX]) {
+    macro_rules! layers {
+        ($($a:literal $b:literal),* $(,)?) => {$({
+            let (x, y) = (v[$a], v[$b]);
+            v[$a] = x.min(y);
+            v[$b] = x.max(y);
+        })*};
+    }
+    layers!(
+        0 1, 2 3, 4 5, 6 7, 8 9, 10 11, 12 13, 14 15,
+        0 2, 1 3, 4 6, 5 7, 8 10, 9 11, 12 14, 13 15,
+        1 2, 5 6, 9 10, 13 14,
+        0 4, 1 5, 2 6, 3 7, 8 12, 9 13, 10 14, 11 15,
+        2 4, 3 5, 10 12, 11 13,
+        1 2, 3 4, 5 6, 9 10, 11 12, 13 14,
+        0 8, 1 9, 2 10, 3 11, 4 12, 5 13, 6 14, 7 15,
+        4 8, 5 9, 6 10, 7 11,
+        2 4, 3 5, 6 8, 7 9, 10 12, 11 13,
+        1 2, 3 4, 5 6, 7 8, 9 10, 11 12, 13 14,
+    );
 }
 
 /// Largest trim handled by the single-pass [`trim_scan`] tracker; beyond
@@ -181,26 +243,34 @@ fn trim_scan(xs: &[i64], d: usize) -> (i64, i64, i128) {
     debug_assert!(m <= TRIM_SCAN_MAX + 1 && xs.len() > 2 * d);
     let mut low = [i64::MAX; TRIM_SCAN_MAX + 1];
     let mut high = [i64::MIN; TRIM_SCAN_MAX + 1];
+    // The entry bars low[m − 1] and high[0], held in registers so a
+    // sample that enters neither tracker touches no memory.
+    let (mut low_bar, mut high_bar) = (i64::MAX, i64::MIN);
     let mut sum: i128 = 0;
     for &x in xs {
         sum += i128::from(x);
-        if x < low[m - 1] {
-            // Insert into the ascending low tracker, dropping its largest.
-            let mut i = m - 1;
-            while i > 0 && low[i - 1] > x {
-                low[i] = low[i - 1];
-                i -= 1;
+        if x < low_bar {
+            // Insert into the ascending low tracker, dropping its largest:
+            // carry x up through fixed compare-exchanges (no
+            // data-dependent exit branch to mispredict).
+            let mut carry = x;
+            for slot in &mut low[..m] {
+                let v = *slot;
+                *slot = v.min(carry);
+                carry = v.max(carry);
             }
-            low[i] = x;
+            low_bar = low[m - 1];
         }
-        if x > high[0] {
-            // Insert into the ascending high tracker, dropping its smallest.
-            let mut i = 0;
-            while i + 1 < m && high[i + 1] < x {
-                high[i] = high[i + 1];
-                i += 1;
+        if x > high_bar {
+            // Insert into the ascending high tracker, dropping its
+            // smallest, the same way from the top.
+            let mut carry = x;
+            for slot in high[..m].iter_mut().rev() {
+                let v = *slot;
+                *slot = v.max(carry);
+                carry = v.min(carry);
             }
-            high[i] = x;
+            high_bar = high[0];
         }
     }
     let trimmed_low: i128 = low[..d].iter().map(|&v| i128::from(v)).sum();
@@ -277,19 +347,18 @@ fn scan(xs: &[i64]) -> (i64, i64, i128) {
 /// symmetric.
 fn mean_i64_parts(sum: i128, n: usize) -> i64 {
     debug_assert!(n > 0);
+    // Round half away from zero: step one unit in the sign of the sum
+    // when the remainder is at least half the divisor.
+    if let (Ok(sum), Ok(n)) = (i64::try_from(sum), i64::try_from(n)) {
+        // The same quotient, remainder and rounding in `i64`, sparing the
+        // `i128` division routine on every real round (`2·|r| < 2n` fits
+        // in `u64`).
+        let (q, r) = (sum / n, sum % n);
+        return q + i64::from(2 * r.unsigned_abs() >= n.unsigned_abs()) * sum.signum();
+    }
     let n = n as i128;
-    let q = sum / n;
-    let r = sum % n;
-    let adjust = if 2 * r.abs() >= n {
-        if sum < 0 {
-            -1
-        } else {
-            1
-        }
-    } else {
-        0
-    };
-    (q + adjust) as i64
+    let (q, r) = (sum / n, sum % n);
+    (q + i128::from(2 * r.abs() >= n) * sum.signum()) as i64
 }
 
 fn mean_i64(xs: &[i64]) -> i64 {
@@ -302,7 +371,7 @@ fn mean_i64(xs: &[i64]) -> i64 {
 /// for the optimized hot path (property-tested to be decision-identical)
 /// and as the comparison baseline in `e12_montecarlo_dispatch`.
 pub mod reference {
-    use super::{mean_i64, ChronosDecision, RejectReason};
+    use super::{mean_i64, outside_envelope, ChronosDecision, RejectReason};
 
     /// Sort-based [`super::chronos_select`]: allocates and fully sorts.
     pub fn chronos_select_sorted(
@@ -321,12 +390,12 @@ pub mod reference {
         let mut sorted = offsets_ns.to_vec();
         sorted.sort_unstable();
         let survivors = &sorted[trim..sorted.len() - trim];
-        let spread = survivors[survivors.len() - 1] - survivors[0];
+        let spread = survivors[survivors.len() - 1].saturating_sub(survivors[0]);
         if spread > omega_ns {
             return ChronosDecision::Reject(RejectReason::Disagreement { spread_ns: spread });
         }
         let avg = mean_i64(survivors);
-        if avg.abs() > envelope_ns {
+        if outside_envelope(avg, envelope_ns) {
             return ChronosDecision::Reject(RejectReason::OutsideEnvelope { avg_ns: avg });
         }
         ChronosDecision::Accept {
@@ -572,6 +641,61 @@ mod tests {
             chronos_select(&shifted, 5, 25 * MS, 0),
             ChronosDecision::Reject(RejectReason::OutsideEnvelope { .. })
         ));
+    }
+
+    #[test]
+    fn sort16_sorts_every_zero_one_input() {
+        // The 0–1 principle: a comparator network that sorts all 2¹⁶
+        // zero–one inputs sorts every input.
+        for bits in 0u32..1 << NETWORK_MAX {
+            let mut v: [i64; NETWORK_MAX] = std::array::from_fn(|i| i64::from(bits >> i & 1));
+            sort16(&mut v);
+            assert!(
+                v.windows(2).all(|w| w[0] <= w[1]),
+                "unsorted for {bits:#06x}"
+            );
+        }
+    }
+
+    #[test]
+    fn extreme_samples_neither_wrap_nor_panic() {
+        // Survivors spanning the whole i64 range saturate the spread
+        // instead of wrapping it into an "agreement".
+        let samples = [i64::MIN, i64::MIN, i64::MAX, i64::MAX, 0];
+        assert_eq!(
+            chronos_select(&samples, 1, i64::MAX - 1, i64::MAX),
+            ChronosDecision::Reject(RejectReason::Disagreement {
+                spread_ns: i64::MAX
+            })
+        );
+        // An i64::MIN average lies outside every envelope.
+        assert_eq!(
+            chronos_select(&[i64::MIN; 3], 1, 0, i64::MAX),
+            ChronosDecision::Reject(RejectReason::OutsideEnvelope { avg_ns: i64::MIN })
+        );
+    }
+
+    #[test]
+    fn i64_mean_path_matches_i128_rounding() {
+        for (sum, n) in [
+            (i128::from(i64::MAX), 2),
+            (i128::from(i64::MIN), 2),
+            (i128::from(i64::MIN), 3),
+            (-7, 2),
+            (7, 2),
+            (-5, 3),
+            (0, 9),
+            (i128::from(i64::MAX) + 1, 2),
+        ] {
+            let q = sum / n as i128;
+            let r = sum % n as i128;
+            let away = if 2 * r.abs() >= n as i128 {
+                sum.signum()
+            } else {
+                0
+            };
+            assert_eq!(mean_i64_parts(sum, n), (q + away) as i64, "{sum} / {n}");
+        }
     }
 
     #[test]

@@ -200,3 +200,45 @@ proptest! {
         }
     }
 }
+
+/// One sample of a short round: mostly from a tiny alphabet (so rounds
+/// are full of ties), sometimes the `i64` extremes, sometimes anything.
+fn short_round_sample() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -2i64..=2,
+        -2i64..=2,
+        Just(i64::MIN),
+        Just(i64::MAX),
+        -2_000_000_000i64..2_000_000_000,
+    ]
+}
+
+/// An agreement or envelope bound, extremes included.
+fn bound_ns() -> impl Strategy<Value = i64> {
+    prop_oneof![Just(0i64), Just(i64::MAX), 0i64..4_000_000_000]
+}
+
+proptest! {
+    /// Rounds of 0..=16 samples — the sorting-network path — with heavy
+    /// duplicates and `i64::MIN`/`i64::MAX`, 32 rounds per case, match the
+    /// sort-based reference decision for decision.
+    #[test]
+    fn network_select_matches_sorted_reference(
+        rounds in proptest::collection::vec(
+            (
+                proptest::collection::vec(short_round_sample(), 0..=16),
+                0usize..=8,
+                bound_ns(),
+                bound_ns(),
+            ),
+            32,
+        ),
+    ) {
+        let mut scratch = SelectScratch::new();
+        for (offsets, trim, omega_ns, envelope_ns) in &rounds {
+            let fast = chronos_select_with(&mut scratch, offsets, *trim, *omega_ns, *envelope_ns);
+            let slow = reference::chronos_select_sorted(offsets, *trim, *omega_ns, *envelope_ns);
+            prop_assert_eq!(fast, slow, "diverged on {:?} trim {}", offsets, trim);
+        }
+    }
+}

@@ -112,7 +112,7 @@ use crate::cohort::{resolver_of, ClientKind, TierAssignment, TierParams};
 use crate::config::FleetConfig;
 use crate::metrics::FleetMetrics;
 use crate::resolver::{DnsAnswer, QuerySchedule, ResolverModel, ResolverTimeline, STALE_TTL_SECS};
-use crate::rng::{client_seed, fault_f64, FaultLane, FleetRng};
+use crate::rng::{client_seed, fault_f64, FaultKey, FaultLane, FleetRng};
 use crate::stats::{FaultCounters, OffsetHistogram, P2Quantile, SecureCounters};
 use crate::wheel::TimerWheel;
 use chronos::core::{
@@ -740,10 +740,10 @@ impl Shard {
         if p <= 0.0 {
             return;
         }
-        let global = self.first_global + i as u64;
+        let key = FaultKey::new(seed, self.first_global + i as u64, lane, round);
         let mut kept = 0;
         for slot in 0..self.offsets_buf.len() {
-            if fault_f64(seed, global, lane, round, slot as u64) < p {
+            if key.draw(slot as u64) < p {
                 self.faults[i].ntp_losses += 1;
             } else {
                 self.offsets_buf[kept] = self.offsets_buf[slot];
@@ -940,21 +940,13 @@ impl Shard {
         // the sample — plain NTP polls all of its servers every round.
         self.offsets_buf.clear();
         for _ in 0..malicious {
-            let noise = if jitter > 0.0 {
-                rng.normal(0.0, jitter) as i64
-            } else {
-                0
-            };
-            self.offsets_buf.push(shift_ns - client_off + noise);
+            self.offsets_buf
+                .push(shift_ns - client_off + rng.jitter_ns(jitter));
         }
         for _ in 0..benign {
             let server_off = Self::draw_benign_offset(&mut rng, benign_bound);
-            let noise = if jitter > 0.0 {
-                rng.normal(0.0, jitter) as i64
-            } else {
-                0
-            };
-            self.offsets_buf.push(server_off - client_off + noise);
+            self.offsets_buf
+                .push(server_off - client_off + rng.jitter_ns(jitter));
         }
         // Losses apply after the draws: a dropped sample still consumed
         // its noise draws, so the surviving subset is exactly what a
@@ -1154,12 +1146,8 @@ impl Shard {
             } else {
                 Self::draw_benign_offset(&mut rng, benign_bound)
             };
-            let noise = if jitter > 0.0 {
-                rng.normal(0.0, jitter) as i64
-            } else {
-                0
-            };
-            self.offsets_buf.push(server_off - client_off + noise);
+            self.offsets_buf
+                .push(server_off - client_off + rng.jitter_ns(jitter));
         }
         // Per-source fetch losses ride their own lane so Roughtime tiers
         // in a fault plan leave every other substream untouched.
@@ -1242,12 +1230,8 @@ impl Shard {
                 ben_rem -= 1;
                 Self::draw_benign_offset(&mut rng, benign_bound)
             };
-            let noise = if jitter > 0.0 {
-                rng.normal(0.0, jitter) as i64
-            } else {
-                0
-            };
-            self.offsets_buf.push(server_off - client_off + noise);
+            self.offsets_buf
+                .push(server_off - client_off + rng.jitter_ns(jitter));
         }
         // The surviving subset feeds the real decision core: enough drops
         // turn the round into a TooFewSamples reject, and K of those into
@@ -1346,21 +1330,13 @@ impl Shard {
         let client_off = self.clocks[i].offset_from_true(SimTime::from_nanos(collect_ns));
         self.offsets_buf.clear();
         for _ in 0..malicious {
-            let noise = if jitter > 0.0 {
-                rng.normal(0.0, jitter) as i64
-            } else {
-                0
-            };
-            self.offsets_buf.push(shift_ns - client_off + noise);
+            self.offsets_buf
+                .push(shift_ns - client_off + rng.jitter_ns(jitter));
         }
         for _ in 0..benign {
             let server_off = Self::draw_benign_offset(rng, benign_bound);
-            let noise = if jitter > 0.0 {
-                rng.normal(0.0, jitter) as i64
-            } else {
-                0
-            };
-            self.offsets_buf.push(server_off - client_off + noise);
+            self.offsets_buf
+                .push(server_off - client_off + rng.jitter_ns(jitter));
         }
         // Panic rounds ride their own lane keyed by the panic-episode
         // index (conclude_sample_round already counted this episode), so

@@ -70,6 +70,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self`.
+    #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -80,6 +81,7 @@ impl SimTime {
 
     /// Signed nanosecond difference `self - other`; negative when `other`
     /// is later. Saturates at `i64` bounds (±292 years).
+    #[inline]
     pub fn signed_nanos_since(self, other: SimTime) -> i64 {
         let diff = self.0 as i128 - other.0 as i128;
         diff.clamp(i64::MIN as i128, i64::MAX as i128) as i64

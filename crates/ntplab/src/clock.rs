@@ -56,6 +56,7 @@ impl LocalClock {
     }
 
     /// Current offset (clock − true) in nanoseconds at true time `now`.
+    #[inline]
     pub fn offset_from_true(&self, now: SimTime) -> i64 {
         let elapsed_ns = now.signed_nanos_since(self.rebased_at);
         self.offset_ns + (elapsed_ns as f64 * self.drift_ppm / 1e6) as i64
@@ -70,6 +71,7 @@ impl LocalClock {
 
     /// Applies a correction of `delta_ns` to the clock (positive moves the
     /// clock forward). Counts as a step or a slew depending on magnitude.
+    #[inline]
     pub fn apply_correction(&mut self, now: SimTime, delta_ns: i64) {
         let current = self.offset_from_true(now);
         self.offset_ns = current + delta_ns;
