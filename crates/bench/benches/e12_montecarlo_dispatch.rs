@@ -4,13 +4,16 @@
 //! plus the allocation-free Chronos selection hot path vs its sort-based
 //! reference, and the two kernels of every simulated poll round: the
 //! 15-sample selection (sorting network) and the per-sample jitter draw
-//! (`FleetRng::jitter_ns` vs the `normal(..) as i64` it replaces).
+//! (`FleetRng::jitter_ns` vs the `normal(..) as i64` it replaces), and the
+//! plain-NTP lane's 4-sample decision round (the scratch ntpd pipeline).
 
 use bench::banner;
+use chronos::core::{conclude_plain_round, ChronosStats, PlainRoundOutcome};
 use chronos::select::{chronos_select_with, reference, SelectScratch};
 use chronos_pitfalls::montecarlo::{baseline_run_trials, run_trials, TrialBudget};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use fleet::rng::FleetRng;
+use ntplab::combine::PipelineScratch;
 
 const TRIALS: u32 = 10_000;
 const THREADS: usize = 4;
@@ -175,5 +178,62 @@ fn bench_jitter(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dispatch, bench_selection, bench_jitter);
+fn bench_plain_round(c: &mut Criterion) {
+    banner("E12 — plain-NTP decision round (scratch ntpd pipeline)");
+    const MS: i64 = 1_000_000;
+    // The fleet default correctness radius: 2 ms benign bound + 4σ of
+    // 500 µs jitter + 1 ms.
+    const ROOT_DISTANCE_NS: i64 = 5 * MS;
+    // 10k distinct 4-sample rounds as a fleet plain-NTP poll draws them:
+    // half honest (benign offsets within ±2 ms), half captured (every
+    // server the attacker's, +500 ms), each sample with 500 µs jitter.
+    let mut rng = FleetRng::from_seed(16);
+    let rounds: Vec<[i64; 4]> = (0..10_000)
+        .map(|_| {
+            let captured = rng.range_u64(2) == 0;
+            std::array::from_fn(|_| {
+                let base = if captured {
+                    500 * MS
+                } else {
+                    rng.range_i64(-2 * MS, 2 * MS)
+                };
+                base + rng.jitter_ns(500_000.0)
+            })
+        })
+        .collect();
+    let mut scratch = PipelineScratch::new();
+    let mut stats = ChronosStats::default();
+    for round in &rounds {
+        assert!(matches!(
+            conclude_plain_round(&mut stats, &mut scratch, round, ROOT_DISTANCE_NS),
+            PlainRoundOutcome::Correction { .. }
+        ));
+    }
+
+    let mut group = c.benchmark_group("e12_plain_round");
+    group.sample_size(30);
+    group.throughput(Throughput::Elements(rounds.len() as u64));
+    group.bench_function("scratch_4x10k", |bch| {
+        bch.iter(|| {
+            let mut acc = 0i64;
+            for round in black_box(&rounds) {
+                if let PlainRoundOutcome::Correction { correction_ns, .. } =
+                    conclude_plain_round(&mut stats, &mut scratch, round, ROOT_DISTANCE_NS)
+                {
+                    acc = acc.wrapping_add(correction_ns);
+                }
+            }
+            acc
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_dispatch,
+    bench_selection,
+    bench_jitter,
+    bench_plain_round
+);
 criterion_main!(benches);

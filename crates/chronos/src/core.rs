@@ -21,7 +21,7 @@
 //!
 //! The same borrowed-state idea covers the *other* client kind the paper
 //! compares against: [`conclude_plain_round`] is the plain-NTP analogue,
-//! delegating to [`ntplab::combine::ntpd_pipeline`] — the exact
+//! delegating to [`ntplab::combine::ntpd_pipeline_with`] — the exact
 //! intersection → cluster → combine code the packet-level
 //! [`ntplab::plain::PlainNtpClient`] runs — so a heterogeneous fleet's two
 //! client kinds share one decision API (this module) and one
@@ -68,7 +68,7 @@
 use crate::config::ChronosConfig;
 use crate::select::{chronos_select_with, panic_select_with, ChronosDecision, SelectScratch};
 use netsim::time::SimTime;
-use ntplab::combine::{ntpd_pipeline, PipelineOutcome};
+use ntplab::combine::{ntpd_pipeline_with, PipelineOutcome, PipelineScratch};
 use ntplab::select::PeerSample;
 use std::net::Ipv4Addr;
 
@@ -252,15 +252,17 @@ pub enum PlainRoundOutcome {
 /// the local clock), updating the shared [`ChronosStats`] counters —
 /// the borrowed-state plain analogue of [`conclude_sample_round`].
 ///
-/// Delegates to [`ntplab::combine::ntpd_pipeline`] — the same
+/// Delegates to [`ntplab::combine::ntpd_pipeline_with`] — the same
 /// intersection → cluster → combine implementation the packet-level
 /// [`ntplab::plain::PlainNtpClient`] runs — over synthetic
 /// [`PeerSample`]s whose correctness-interval radius is the caller's
 /// `root_distance_ns` (a mean-field path budget standing in for the
 /// per-exchange δ/2 + ε a packet client measures; all samples share it,
 /// so the combine weights are uniform and the correction is the survivor
-/// mean). `samples_buf` is a caller-owned scratch buffer so a warm fleet
-/// lane builds the sample vector without reallocating.
+/// mean). `scratch` is caller-owned: with a warm scratch the round
+/// allocates nothing and sorts nothing — the intersection bounds come
+/// from edge counts ([`ntplab::select`]), and the survivor filter and
+/// clustering work in place on the scratch's sample vector.
 ///
 /// Counter mapping onto the shared [`ChronosStats`]: a correction counts
 /// as an *accept*, a no-majority round as a *reject* (the plain client's
@@ -268,19 +270,18 @@ pub enum PlainRoundOutcome {
 /// panic.
 pub fn conclude_plain_round(
     stats: &mut ChronosStats,
-    samples_buf: &mut Vec<PeerSample>,
+    scratch: &mut PipelineScratch,
     offsets_ns: &[i64],
     root_distance_ns: i64,
 ) -> PlainRoundOutcome {
-    samples_buf.clear();
-    samples_buf.extend(offsets_ns.iter().map(|&offset_ns| PeerSample {
+    let samples = offsets_ns.iter().map(|&offset_ns| PeerSample {
         server: Ipv4Addr::UNSPECIFIED,
         offset_ns,
         // root_distance = delay/2 + dispersion.
         delay_ns: 2 * root_distance_ns,
         dispersion_ns: 0,
-    }));
-    match ntpd_pipeline(samples_buf) {
+    });
+    match ntpd_pipeline_with(scratch, samples) {
         PipelineOutcome::Correction(c) => {
             stats.accepts += 1;
             PlainRoundOutcome::Correction {
@@ -523,11 +524,11 @@ mod tests {
     #[test]
     fn plain_round_follows_an_agreeing_pool_and_counts_accepts() {
         let mut stats = ChronosStats::default();
-        let mut buf = Vec::new();
+        let mut scratch = PipelineScratch::new();
         // Four servers agreeing on +500 ms (the unanimous-liar case the
         // packet-level PlainNtpClient test pins): combined correction is
         // the survivor mean, counted as an accept.
-        let out = conclude_plain_round(&mut stats, &mut buf, &[500 * MS; 4], 3 * MS);
+        let out = conclude_plain_round(&mut stats, &mut scratch, &[500 * MS; 4], 3 * MS);
         assert_eq!(
             out,
             PlainRoundOutcome::Correction {
@@ -542,11 +543,11 @@ mod tests {
     #[test]
     fn plain_round_with_no_majority_counts_a_reject() {
         let mut stats = ChronosStats::default();
-        let mut buf = Vec::new();
+        let mut scratch = PipelineScratch::new();
         // Four servers scattered far beyond the correctness radius: no
         // clique of 3 intervals shares a point.
         let offsets = [-300 * MS, -100 * MS, 100 * MS, 300 * MS];
-        let out = conclude_plain_round(&mut stats, &mut buf, &offsets, MS);
+        let out = conclude_plain_round(&mut stats, &mut scratch, &offsets, MS);
         assert_eq!(out, PlainRoundOutcome::NoMajority);
         assert_eq!(stats.rejects, 1);
         assert_eq!(stats.accepts, 0);
@@ -555,9 +556,9 @@ mod tests {
     #[test]
     fn plain_round_with_no_samples_is_a_no_op() {
         let mut stats = ChronosStats::default();
-        let mut buf = Vec::new();
+        let mut scratch = PipelineScratch::new();
         assert_eq!(
-            conclude_plain_round(&mut stats, &mut buf, &[], MS),
+            conclude_plain_round(&mut stats, &mut scratch, &[], MS),
             PlainRoundOutcome::NoSamples
         );
         assert_eq!(stats, ChronosStats::default());

@@ -1,5 +1,7 @@
-//! Verifies the selection hot path performs **zero heap allocations** when
-//! given a warm [`SelectScratch`], via a counting global allocator.
+//! Verifies the selection hot paths perform **zero heap allocations** when
+//! given warm scratch — Chronos selection with a [`SelectScratch`], the
+//! plain-NTP round with a [`PipelineScratch`] — via a counting global
+//! allocator.
 //!
 //! Lives in its own integration-test binary because a `#[global_allocator]`
 //! is process-wide, and everything runs inside ONE `#[test]` function:
@@ -13,10 +15,14 @@
 //! windows**: a transient stray can pollute one window, but a real
 //! allocation on the hot path would show up in every one.
 
+use chronos::core::{conclude_plain_round, ChronosStats, PlainRoundOutcome};
 use chronos::select::{
     chronos_select, chronos_select_with, panic_select_with, ChronosDecision, SelectScratch,
 };
+use ntplab::combine::{ntpd_pipeline, PipelineScratch};
+use ntplab::select::PeerSample;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAllocator;
@@ -112,4 +118,47 @@ fn selection_hot_path_is_allocation_free_with_scratch() {
         }
     });
     assert_eq!(later, 0);
+
+    // --- plain-NTP round, harness sanity: the one-shot pipeline builds a
+    //     scratch per call.
+    let samples: Vec<PeerSample> = (0..4)
+        .map(|i| PeerSample {
+            server: Ipv4Addr::UNSPECIFIED,
+            offset_ns: i * MS,
+            delay_ns: 6 * MS,
+            dispersion_ns: 0,
+        })
+        .collect();
+    let (allocs, _) = count_allocations(|| ntpd_pipeline(&samples));
+    assert!(allocs >= 1, "ntpd_pipeline should allocate its scratch");
+
+    // --- warm pipeline scratch: honest, split-brain and captured 4-sample
+    //     rounds conclude without allocating.
+    let rounds: [[i64; 4]; 3] = [
+        [MS, -MS, 2 * MS, 0],
+        [0, MS, 500 * MS, 501 * MS],
+        [500 * MS, 499 * MS, 501 * MS, 2 * MS],
+    ];
+    let mut plain = PipelineScratch::new();
+    let mut stats = ChronosStats::default();
+    conclude_plain_round(&mut stats, &mut plain, &rounds[0], 3 * MS);
+    let (allocs, (corrections, no_majority)) = min_allocations_over_windows(5, || {
+        let (mut corrections, mut no_majority) = (0u32, 0u32);
+        for round in 0..1000 {
+            match conclude_plain_round(&mut stats, &mut plain, &rounds[round % 3], 3 * MS) {
+                PlainRoundOutcome::Correction { .. } => corrections += 1,
+                PlainRoundOutcome::NoMajority => no_majority += 1,
+                PlainRoundOutcome::NoSamples => {}
+            }
+        }
+        (corrections, no_majority)
+    });
+    assert!(
+        corrections > 0 && no_majority > 0,
+        "sanity: both outcomes occurred ({corrections} corrections, {no_majority} no-majority)"
+    );
+    assert_eq!(
+        allocs, 0,
+        "warm-scratch plain rounds must not allocate (got {allocs} allocations over 1000 rounds in the cleanest window)"
+    );
 }

@@ -10,7 +10,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use chronos_pitfalls::experiments::e16_config;
 use chronosd::daemon::MAX_REQUEST_BYTES;
@@ -67,29 +67,41 @@ fn checkpoint_resume_across_daemon_processes_matches_batch() {
         )
         .expect("submit");
 
-    // Live observability: stream a couple of snapshots while it steps.
+    // Live observability: stream snapshots while it steps. The first
+    // ones can all predate the first published slice (`queued`, then
+    // `running` without progress), so subscribe again until a snapshot
+    // carries progress or the job parks at its pause point.
+    let deadline = Instant::now() + Duration::from_secs(120);
     let mut watcher = Client::connect(&socket).expect("watch connection");
-    let mut event = watcher
-        .request(
-            "watch",
-            vec![
-                ("name".into(), Json::str("smoke")),
-                ("count".into(), Json::u64(2)),
-            ],
-        )
-        .expect("watch");
     let mut saw_progress = false;
-    loop {
-        if let Some(progress) = event.get("progress") {
-            if let Some(now_s) = progress.get("now_s").and_then(Json::as_f64) {
-                assert!(now_s <= 1_500.0, "paused at 1500 s, watched {now_s}");
-                saw_progress = true;
+    let mut parked = false;
+    while !saw_progress && !parked {
+        assert!(
+            Instant::now() < deadline,
+            "no progress snapshot within 120 s"
+        );
+        let mut event = watcher
+            .request(
+                "watch",
+                vec![
+                    ("name".into(), Json::str("smoke")),
+                    ("count".into(), Json::u64(2)),
+                ],
+            )
+            .expect("watch");
+        loop {
+            if let Some(progress) = event.get("progress") {
+                if let Some(now_s) = progress.get("now_s").and_then(Json::as_f64) {
+                    assert!(now_s <= 1_500.0, "paused at 1500 s, watched {now_s}");
+                    saw_progress = true;
+                }
             }
+            parked |= event.get("state").and_then(Json::as_str) == Some("paused");
+            if event.get("event").and_then(Json::as_str) == Some("end") {
+                break;
+            }
+            event = watcher.read_response().expect("watch stream");
         }
-        if event.get("event").and_then(Json::as_str) == Some("end") {
-            break;
-        }
-        event = watcher.read_response().expect("watch stream");
     }
     assert!(saw_progress, "watch never surfaced a progress snapshot");
 

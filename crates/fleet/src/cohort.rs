@@ -66,7 +66,7 @@ pub enum ClientKind {
     Chronos,
     /// The traditional ntpd baseline: one DNS resolution at boot, a fixed
     /// 4-server pool, intersection → cluster → combine each poll
-    /// ([`ntplab::combine::ntpd_pipeline`]).
+    /// ([`ntplab::combine::ntpd_pipeline_with`]).
     PlainNtp,
     /// NTS-secured NTP (RFC 8915): time samples are authenticated, so a
     /// poisoned resolver cannot alter offsets *post-association* — but

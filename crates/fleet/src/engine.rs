@@ -121,7 +121,7 @@ use chronos::core::{
 use chronos::select::SelectScratch;
 use netsim::time::{SimDuration, SimTime};
 use ntplab::clock::LocalClock;
-use ntplab::select::PeerSample;
+use ntplab::combine::PipelineScratch;
 
 /// Quantiles tracked by the streaming estimators.
 const TRACKED_QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
@@ -391,8 +391,8 @@ struct Shard {
     wheel: TimerWheel,
     scratch: SelectScratch,
     offsets_buf: Vec<i64>,
-    /// Scratch for the plain-NTP pipeline's [`PeerSample`]s.
-    plain_samples: Vec<PeerSample>,
+    /// Scratch for the plain-NTP pipeline (samples, intervals).
+    plain: PipelineScratch,
     due: Vec<u32>,
     expired: Vec<u32>,
     /// Events popped off the wheel but beyond the current run boundary.
@@ -435,7 +435,7 @@ impl Shard {
             wheel: TimerWheel::new(0, TICK_NS),
             scratch: SelectScratch::new(),
             offsets_buf: Vec::new(),
-            plain_samples: Vec::new(),
+            plain: PipelineScratch::new(),
             due: Vec::new(),
             expired: Vec::new(),
             carry: Vec::new(),
@@ -963,7 +963,7 @@ impl Shard {
         let mut stats = self.stats[i].widen();
         let outcome = core::conclude_plain_round(
             &mut stats,
-            &mut self.plain_samples,
+            &mut self.plain,
             &self.offsets_buf,
             plain_root_distance_ns(config),
         );
@@ -1439,7 +1439,7 @@ impl Shard {
     // --- checkpoint codec (see crate::checkpoint for the format) ---
 
     /// Serializes the shard's complete state. The scratch buffers
-    /// (`scratch`, `offsets_buf`, `plain_samples`, `expired`) are
+    /// (`scratch`, `offsets_buf`, `plain`, `expired`) are
     /// per-event temporaries and carry nothing across events; `carry`
     /// membership is re-derivable from the deadlines and the wheel clock,
     /// so only `due` (the one pending list whose membership is not) is

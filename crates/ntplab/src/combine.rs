@@ -4,9 +4,18 @@
 //! Survivors of intersection + clustering are averaged with weights inverse
 //! to their root distance, yielding the clock correction a plain NTP client
 //! applies.
+//!
+//! The pipeline has one implementation, [`ntpd_pipeline_with`], which runs
+//! over a caller-owned [`PipelineScratch`]: the sort-free intersection
+//! bounds ([`crate::select`]), the survivor filter, the in-place
+//! [`cluster`] and [`combine`] all work on the scratch's one sample
+//! vector, so a warm scratch makes a round allocate nothing. Both the
+//! packet-level [`crate::plain::PlainNtpClient`] and the fleet's plain-NTP
+//! lane (through `chronos::core::conclude_plain_round`) call it;
+//! [`ntpd_pipeline`] is its allocating one-shot form.
 
 use crate::cluster::{cluster, MIN_CLUSTER_SURVIVORS};
-use crate::select::{intersect, PeerSample};
+use crate::select::{intersect_with, IntersectScratch, PeerSample};
 
 /// Combined clock estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,6 +29,8 @@ pub struct Combined {
 }
 
 /// Weighted combination of survivor offsets (weights ∝ 1/root distance).
+/// Inlinable, so a caller that ignores `jitter_ns` does not compute it.
+#[inline]
 pub fn combine(samples: &[PeerSample]) -> Option<Combined> {
     if samples.is_empty() {
         return None;
@@ -59,17 +70,70 @@ pub enum PipelineOutcome {
     NoSamples,
 }
 
+/// Caller-owned memory for [`ntpd_pipeline_with`]: the round's samples
+/// (filtered and clustered in place) and the intersection's intervals.
+#[derive(Debug, Clone, Default)]
+pub struct PipelineScratch {
+    samples: Vec<PeerSample>,
+    intersect: IntersectScratch,
+}
+
+impl PipelineScratch {
+    /// An empty scratch (the first round allocates).
+    pub fn new() -> Self {
+        PipelineScratch::default()
+    }
+
+    /// A scratch pre-sized for rounds of up to `n` samples, so even the
+    /// first round allocates nothing.
+    pub fn with_capacity(n: usize) -> Self {
+        PipelineScratch {
+            samples: Vec::with_capacity(n),
+            intersect: IntersectScratch::with_capacity(n),
+        }
+    }
+}
+
 /// The full plain-NTP decision: intersection → cluster → combine.
+/// Allocates a scratch per call; [`ntpd_pipeline_with`] is the hot path.
 pub fn ntpd_pipeline(samples: &[PeerSample]) -> PipelineOutcome {
-    if samples.is_empty() {
+    ntpd_pipeline_with(
+        &mut PipelineScratch::with_capacity(samples.len()),
+        samples.iter().copied(),
+    )
+}
+
+/// [`ntpd_pipeline`] over caller-owned scratch memory: loads `samples`
+/// into `scratch`, then intersects (sort-free, see [`crate::select`]),
+/// keeps the truechimers in input order, clusters in place and combines.
+/// Performs no heap allocation once `scratch` has capacity for the round.
+pub fn ntpd_pipeline_with(
+    scratch: &mut PipelineScratch,
+    samples: impl IntoIterator<Item = PeerSample>,
+) -> PipelineOutcome {
+    let round = &mut scratch.samples;
+    round.clear();
+    round.extend(samples);
+    if round.is_empty() {
         return PipelineOutcome::NoSamples;
     }
-    let Some(intersection) = intersect(samples) else {
+    let Some(agreement) = intersect_with(&mut scratch.intersect, round) else {
         return PipelineOutcome::NoMajority;
     };
-    let survivors: Vec<PeerSample> = intersection.survivors.iter().map(|&i| samples[i]).collect();
-    let clustered = cluster(survivors, MIN_CLUSTER_SURVIVORS);
-    match combine(&clustered) {
+    // Keep the truechimers in input order. A hand-rolled retain: for a
+    // handful of samples, `Vec::retain`'s general drop handling measured
+    // about a seventh of the round.
+    let mut kept = 0;
+    for i in 0..round.len() {
+        let s = round[i];
+        if agreement.admits(&s) {
+            round[kept] = s;
+            kept += 1;
+        }
+    }
+    round.truncate(kept);
+    cluster(round, MIN_CLUSTER_SURVIVORS);
+    match combine(round) {
         Some(c) => PipelineOutcome::Correction(c),
         None => PipelineOutcome::NoMajority,
     }

@@ -35,7 +35,9 @@ pub mod timestamp;
 pub mod prelude {
     pub use crate::assoc::{NtpExchanger, NTP_CLIENT_PORT};
     pub use crate::clock::LocalClock;
-    pub use crate::combine::{combine, ntpd_pipeline, Combined, PipelineOutcome};
+    pub use crate::combine::{
+        combine, ntpd_pipeline, ntpd_pipeline_with, Combined, PipelineOutcome, PipelineScratch,
+    };
     pub use crate::packet::{Mode, NtpPacket, NTP_PORT};
     pub use crate::plain::{PlainNtpClient, PlainNtpConfig};
     pub use crate::select::{intersect, PeerSample};

@@ -8,7 +8,7 @@
 
 use crate::assoc::NtpExchanger;
 use crate::clock::LocalClock;
-use crate::combine::{ntpd_pipeline, PipelineOutcome};
+use crate::combine::{ntpd_pipeline_with, PipelineOutcome, PipelineScratch};
 use crate::select::PeerSample;
 use dnslab::client::StubResolver;
 use dnslab::name::Name;
@@ -76,6 +76,7 @@ pub struct PlainNtpClient {
     config: PlainNtpConfig,
     servers: Vec<Ipv4Addr>,
     round_samples: Vec<PeerSample>,
+    pipeline: PipelineScratch,
     offset_trace: Vec<(SimTime, i64)>,
     stats: PlainNtpStats,
 }
@@ -102,6 +103,7 @@ impl PlainNtpClient {
             config,
             servers: Vec::new(),
             round_samples: Vec::new(),
+            pipeline: PipelineScratch::new(),
             offset_trace: Vec::new(),
             stats: PlainNtpStats::default(),
         }
@@ -156,7 +158,7 @@ impl PlainNtpClient {
     }
 
     fn finish_poll(&mut self, ctx: &mut Context<'_>) {
-        match ntpd_pipeline(&self.round_samples) {
+        match ntpd_pipeline_with(&mut self.pipeline, self.round_samples.iter().copied()) {
             PipelineOutcome::Correction(c) => {
                 self.clock.apply_correction(ctx.now(), c.offset_ns);
                 self.stats.updates += 1;

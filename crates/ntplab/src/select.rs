@@ -5,6 +5,16 @@
 //! of "truechimers" whose correctness intervals intersect, tolerating up to
 //! `⌈n/2⌉ - 1` falsetickers. This is the baseline NTP defence the paper's
 //! plain-NTP client uses — and the one Chronos replaces.
+//!
+//! ntpd finds the agreed interval by sorting every interval's edges and
+//! scanning them. This module computes the same bounds without a sort:
+//! under ntpd's tie order (low end < midpoint < high end at equal values)
+//! each scan's running count at an edge depends only on the edge's value,
+//! so each bound is the extreme edge whose count reaches the clique size
+//! (the proof is on the crate-internal `intersect_with`, which works over
+//! reused scratch and allocates nothing once that is warm). [`intersect`]
+//! is its allocating form, which also lists the survivors; the pipeline
+//! in [`crate::combine`] uses the scratch form.
 
 use std::net::Ipv4Addr;
 
@@ -47,78 +57,128 @@ pub struct Intersection {
     pub falsetickers: usize,
 }
 
+/// The agreed interval of a successful intersection, without the
+/// survivor list — what [`intersect_with`] returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Agreement {
+    pub(crate) low: i64,
+    pub(crate) high: i64,
+    pub(crate) falsetickers: usize,
+}
+
+impl Agreement {
+    /// Whether `sample` is a truechimer: its correctness interval meets
+    /// `[low, high]`.
+    pub(crate) fn admits(&self, sample: &PeerSample) -> bool {
+        let (lo, hi) = sample.interval();
+        hi >= self.low && lo <= self.high
+    }
+}
+
+/// One sample's correctness interval and its two edge scores.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    lo: i64,
+    hi: i64,
+    /// `#{lo_j ≤ lo} − #{hi_j < lo}`: the ascending scan's count at `lo`.
+    lo_score: i64,
+    /// `#{hi_j ≥ hi} − #{lo_j > hi}`: the descending scan's count at `hi`.
+    hi_score: i64,
+}
+
+/// Caller-owned memory for [`intersect_with`]: one interval and its edge
+/// scores per sample, reused across rounds.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IntersectScratch {
+    edges: Vec<Edge>,
+}
+
+impl IntersectScratch {
+    /// A scratch pre-sized for rounds of up to `n` samples, so even the
+    /// first intersection allocates nothing.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        IntersectScratch {
+            edges: Vec::with_capacity(n),
+        }
+    }
+}
+
 /// Runs the intersection algorithm over `samples`.
 ///
 /// Returns `None` when no majority clique exists (fewer than
 /// `n - ⌊(n-1)/2⌋` intervals share a point), in which case an ntpd client
-/// refuses to update its clock.
+/// refuses to update its clock. Allocates the survivor list and a
+/// scratch; the pipeline ([`crate::combine::ntpd_pipeline_with`]) runs the
+/// allocation-free form.
 pub fn intersect(samples: &[PeerSample]) -> Option<Intersection> {
+    let agreement = intersect_with(&mut IntersectScratch::default(), samples)?;
+    Some(Intersection {
+        low: agreement.low,
+        high: agreement.high,
+        survivors: (0..samples.len())
+            .filter(|&i| agreement.admits(&samples[i]))
+            .collect(),
+        falsetickers: agreement.falsetickers,
+    })
+}
+
+/// [`intersect`] over caller-owned scratch, returning the agreed interval
+/// only ([`Agreement::admits`] picks the survivors): no heap allocation
+/// once `scratch` has capacity for `samples.len()` intervals, and no sort.
+///
+/// ntpd sorts the 3m edges (every interval's low end, midpoint and high
+/// end) and scans them: ascending, +1 at a low end and −1 at a high end,
+/// `low` is the first low end where the count reaches `needed = m −
+/// allow`; descending, with the roles swapped, `high` is the first high
+/// end that reaches it. At equal values the sort puts low ends before
+/// midpoints before high ends, so touching intervals overlap. Under that
+/// tie order the count after the last of the low ends at a value v is
+/// `#{lo ≤ v} − #{hi < v}`, and after the last high end at v in the
+/// descending scan it is `#{hi ≥ v} − #{lo > v}`. Both scores depend on v
+/// alone, so without sorting:
+///
+/// * `low` is the least low end v with `#{lo ≤ v} − #{hi < v} ≥ needed`;
+/// * `high` is the greatest high end v with `#{hi ≥ v} − #{lo > v} ≥ needed`.
+///
+/// With no falseticker allowed (`needed = m`) a score reaches m only at a
+/// point inside every interval, so `low` is the greatest low end and
+/// `high` the least high end, and the clique exists iff `low ≤ high`: one
+/// pass. The scores do not depend on `allow`, so only when that first
+/// attempt fails are they computed, once, into `scratch` (O(m²)
+/// comparisons, fewer than a sort's for the handful of servers a client
+/// polls). Midpoints never move the count; they enter only through
+/// ntpd's extra rule that at most `allow` of them may fall outside
+/// `[low, high]`.
+pub(crate) fn intersect_with(
+    scratch: &mut IntersectScratch,
+    samples: &[PeerSample],
+) -> Option<Agreement> {
     let m = samples.len();
-    if m == 0 {
-        return None;
-    }
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    enum Kind {
-        Low,
-        Mid,
-        High,
-    }
-    let mut edges: Vec<(i64, Kind)> = Vec::with_capacity(m * 3);
-    for s in samples {
+    let edges = &mut scratch.edges;
+    edges.clear();
+    edges.extend(samples.iter().map(|s| {
         let (lo, hi) = s.interval();
-        edges.push((lo, Kind::Low));
-        edges.push((s.offset_ns, Kind::Mid));
-        edges.push((hi, Kind::High));
-    }
-    // Sort by value; at equal values process Low before Mid before High so
-    // touching intervals count as overlapping.
-    edges.sort_by_key(|&(v, k)| {
-        (
-            v,
-            match k {
-                Kind::Low => 0,
-                Kind::Mid => 1,
-                Kind::High => 2,
-            },
-        )
-    });
+        Edge {
+            lo,
+            hi,
+            lo_score: 0,
+            hi_score: 0,
+        }
+    }));
 
     for allow in 0..m.div_ceil(2) {
-        let needed = (m - allow) as i64;
-        // Lower edge: ascending scan.
-        let mut count = 0i64;
-        let mut low = None;
-        for &(v, kind) in &edges {
-            match kind {
-                Kind::Low => {
-                    count += 1;
-                    if count >= needed {
-                        low = Some(v);
-                        break;
-                    }
-                }
-                Kind::High => count -= 1,
-                Kind::Mid => {}
+        let (low, high) = if allow == 0 {
+            let low = edges.iter().fold(i64::MIN, |v, e| v.max(e.lo));
+            let high = edges.iter().fold(i64::MAX, |v, e| v.min(e.hi));
+            (low, high)
+        } else {
+            if allow == 1 {
+                score(edges);
             }
-        }
-        // Upper edge: descending scan.
-        let mut count = 0i64;
-        let mut high = None;
-        for &(v, kind) in edges.iter().rev() {
-            match kind {
-                Kind::High => {
-                    count += 1;
-                    if count >= needed {
-                        high = Some(v);
-                        break;
-                    }
-                }
-                Kind::Low => count -= 1,
-                Kind::Mid => {}
+            match bounds(edges, (m - allow) as i64) {
+                Some(bounds) => bounds,
+                None => continue,
             }
-        }
-        let (Some(low), Some(high)) = (low, high) else {
-            continue;
         };
         if low > high {
             continue;
@@ -132,23 +192,43 @@ pub fn intersect(samples: &[PeerSample]) -> Option<Intersection> {
         if outside_mids > allow {
             continue;
         }
-        let survivors: Vec<usize> = samples
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                let (slo, shi) = s.interval();
-                shi >= low && slo <= high
-            })
-            .map(|(i, _)| i)
-            .collect();
-        return Some(Intersection {
+        return Some(Agreement {
             low,
             high,
-            survivors,
             falsetickers: allow,
         });
     }
     None
+}
+
+/// Fills in every edge's ascending- and descending-scan score.
+fn score(edges: &mut [Edge]) {
+    for i in 0..edges.len() {
+        let (lo, hi) = (edges[i].lo, edges[i].hi);
+        let (mut lo_score, mut hi_score) = (0i64, 0i64);
+        for e in edges.iter() {
+            lo_score += i64::from(e.lo <= lo) - i64::from(e.hi < lo);
+            hi_score += i64::from(e.hi >= hi) - i64::from(e.lo > hi);
+        }
+        edges[i].lo_score = lo_score;
+        edges[i].hi_score = hi_score;
+    }
+}
+
+/// The least low end and the greatest high end whose scores reach
+/// `needed`, if both exist.
+fn bounds(edges: &[Edge], needed: i64) -> Option<(i64, i64)> {
+    let low = edges
+        .iter()
+        .filter(|e| e.lo_score >= needed)
+        .map(|e| e.lo)
+        .min()?;
+    let high = edges
+        .iter()
+        .filter(|e| e.hi_score >= needed)
+        .map(|e| e.hi)
+        .max()?;
+    Some((low, high))
 }
 
 #[cfg(test)]

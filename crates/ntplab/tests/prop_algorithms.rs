@@ -1,11 +1,15 @@
-//! Property tests: NTP timestamps and the selection pipeline's safety
-//! properties.
+//! Property tests: NTP timestamps, the selection pipeline's safety
+//! properties, and the scratch pipeline's equivalence to the sort-and-scan
+//! reference in [`reference`].
 
 use netsim::time::SimTime;
+use ntplab::cluster::cluster;
+use ntplab::combine::{ntpd_pipeline, ntpd_pipeline_with, PipelineScratch};
 use ntplab::packet::NtpPacket;
 use ntplab::select::{intersect, PeerSample};
 use ntplab::timestamp::{NtpShort, NtpTimestamp};
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
 
 fn sample(offset_ms: i64, half_width_ms: i64) -> PeerSample {
@@ -108,5 +112,225 @@ proptest! {
             // The interval must stay anchored to the honest cluster.
             prop_assert!(r.low.abs() <= 13_000_000, "low {}", r.low);
         }
+    }
+}
+
+/// The textbook formulation the scratch pipeline must reproduce exactly:
+/// intersection by sorting all 3m edges and scanning them, clustering by
+/// consuming and returning a vector.
+mod reference {
+    use ntplab::cluster::{selection_jitter, MIN_CLUSTER_SURVIVORS};
+    use ntplab::combine::{combine, PipelineOutcome};
+    use ntplab::select::{Intersection, PeerSample};
+
+    /// Marzullo's algorithm with ntpd's midpoint rule, by sort and scan.
+    pub fn intersect_sorted(samples: &[PeerSample]) -> Option<Intersection> {
+        let m = samples.len();
+        if m == 0 {
+            return None;
+        }
+        #[derive(Clone, Copy, PartialEq, Eq)]
+        enum Kind {
+            Low,
+            Mid,
+            High,
+        }
+        let mut edges: Vec<(i64, Kind)> = Vec::with_capacity(m * 3);
+        for s in samples {
+            let (lo, hi) = s.interval();
+            edges.push((lo, Kind::Low));
+            edges.push((s.offset_ns, Kind::Mid));
+            edges.push((hi, Kind::High));
+        }
+        // Sort by value; at equal values process Low before Mid before
+        // High so touching intervals count as overlapping.
+        edges.sort_by_key(|&(v, k)| {
+            (
+                v,
+                match k {
+                    Kind::Low => 0,
+                    Kind::Mid => 1,
+                    Kind::High => 2,
+                },
+            )
+        });
+
+        for allow in 0..m.div_ceil(2) {
+            let needed = (m - allow) as i64;
+            // Lower edge: ascending scan.
+            let mut count = 0i64;
+            let mut low = None;
+            for &(v, kind) in &edges {
+                match kind {
+                    Kind::Low => {
+                        count += 1;
+                        if count >= needed {
+                            low = Some(v);
+                            break;
+                        }
+                    }
+                    Kind::High => count -= 1,
+                    Kind::Mid => {}
+                }
+            }
+            // Upper edge: descending scan.
+            let mut count = 0i64;
+            let mut high = None;
+            for &(v, kind) in edges.iter().rev() {
+                match kind {
+                    Kind::High => {
+                        count += 1;
+                        if count >= needed {
+                            high = Some(v);
+                            break;
+                        }
+                    }
+                    Kind::Low => count -= 1,
+                    Kind::Mid => {}
+                }
+            }
+            let (Some(low), Some(high)) = (low, high) else {
+                continue;
+            };
+            if low > high {
+                continue;
+            }
+            let outside_mids = samples
+                .iter()
+                .filter(|s| s.offset_ns < low || s.offset_ns > high)
+                .count();
+            if outside_mids > allow {
+                continue;
+            }
+            let survivors: Vec<usize> = samples
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| {
+                    let (slo, shi) = s.interval();
+                    shi >= low && slo <= high
+                })
+                .map(|(i, _)| i)
+                .collect();
+            return Some(Intersection {
+                low,
+                high,
+                survivors,
+                falsetickers: allow,
+            });
+        }
+        None
+    }
+
+    /// The cluster loop over an owned vector.
+    pub fn cluster_owned(mut samples: Vec<PeerSample>, min_survivors: usize) -> Vec<PeerSample> {
+        while samples.len() > min_survivors.max(1) {
+            let (worst_idx, worst_jitter) = match (0..samples.len())
+                .map(|i| (i, selection_jitter(&samples, i)))
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+            {
+                Some(x) => x,
+                None => break,
+            };
+            let best_peer_jitter = samples
+                .iter()
+                .map(|s| s.root_distance() as f64)
+                .min_by(f64::total_cmp)
+                .unwrap_or(0.0);
+            if worst_jitter <= best_peer_jitter {
+                break;
+            }
+            samples.remove(worst_idx);
+        }
+        samples
+    }
+
+    /// intersection → cluster → combine, composed from the above.
+    pub fn pipeline(samples: &[PeerSample]) -> PipelineOutcome {
+        if samples.is_empty() {
+            return PipelineOutcome::NoSamples;
+        }
+        let Some(intersection) = intersect_sorted(samples) else {
+            return PipelineOutcome::NoMajority;
+        };
+        let survivors: Vec<PeerSample> =
+            intersection.survivors.iter().map(|&i| samples[i]).collect();
+        match combine(&cluster_owned(survivors, MIN_CLUSTER_SURVIVORS)) {
+            Some(c) => PipelineOutcome::Correction(c),
+            None => PipelineOutcome::NoMajority,
+        }
+    }
+}
+
+/// One sample of a short round. Offsets and radii mostly come from a tiny
+/// alphabet, so rounds are full of duplicate offsets and of intervals
+/// that touch exactly (`lo_i == hi_j`); odd delays exercise δ/2's
+/// truncation, dispersion mixes the root distances, and a few negative
+/// delays give inverted intervals (`lo > hi`), which the edge counts must
+/// order exactly as the sort does.
+fn round_sample() -> impl Strategy<Value = PeerSample> {
+    (
+        prop_oneof![
+            -3i64..=3,
+            -3i64..=3,
+            -1_000i64..1_000,
+            -2_000_000_000i64..2_000_000_000
+        ],
+        prop_oneof![0i64..=6, 0i64..=6, -2i64..=0, 0i64..2_000_000_000],
+        prop_oneof![Just(0i64), 0i64..=2],
+    )
+        .prop_map(|(offset_ns, delay_ns, dispersion_ns)| PeerSample {
+            server: Ipv4Addr::new(10, 0, 0, 1),
+            offset_ns,
+            delay_ns,
+            dispersion_ns,
+        })
+}
+
+thread_local! {
+    /// One pipeline scratch for every case of the property, so state left
+    /// over from an earlier round would show as a divergence.
+    static SCRATCH: RefCell<PipelineScratch> = RefCell::new(PipelineScratch::new());
+}
+
+proptest! {
+    /// Rounds of 0..=16 samples, 32 per case: the sort-free intersection,
+    /// the in-place cluster and the scratch pipeline return exactly what
+    /// the sort-and-scan reference returns.
+    #[test]
+    fn scratch_pipeline_matches_sorted_reference(
+        rounds in proptest::collection::vec(
+            (proptest::collection::vec(round_sample(), 0..=16), 0usize..=4),
+            32,
+        ),
+    ) {
+        SCRATCH.with(|scratch| -> Result<(), TestCaseError> {
+            let mut scratch = scratch.borrow_mut();
+            for (samples, min_survivors) in &rounds {
+                prop_assert_eq!(
+                    intersect(samples),
+                    reference::intersect_sorted(samples),
+                    "intersection diverged on {:?}",
+                    samples
+                );
+                let mut clustered = samples.clone();
+                cluster(&mut clustered, *min_survivors);
+                prop_assert_eq!(
+                    &clustered,
+                    &reference::cluster_owned(samples.clone(), *min_survivors),
+                    "cluster diverged on {:?} min {}",
+                    samples,
+                    min_survivors
+                );
+                let expected = reference::pipeline(samples);
+                prop_assert_eq!(
+                    ntpd_pipeline_with(&mut scratch, samples.iter().copied()),
+                    expected.clone(),
+                    "pipeline diverged on {:?}",
+                    samples
+                );
+                prop_assert_eq!(ntpd_pipeline(samples), expected);
+            }
+            Ok(())
+        })?;
     }
 }
